@@ -6,7 +6,8 @@ from .exchange import ExportFilter, LinkCell, SharedClause, SharedPool
 from .formula import Clause, Formula, ParseError, parse_dimacs, parse_dimacs_file, to_dimacs
 from .harness import RunRecord, cli_main, emit_csv, gen_random_3sat, verify_model
 from .oracle import TooLarge, brute_force, implied
-from .portfolio import ConfigError, PortfolioConfig, PortfolioResult, diversify, run
+from .portfolio import (ConfigError, PortfolioConfig, PortfolioResult, WorkerFault,
+                        diversify, run)
 from .stats import Stats, merge_stats
 from .strategy import LPCM, NONE, PCM, LcmMode, Strategy, ecm, mode_from_label
 from .vivify import CandidatePolicy, VivifyOutcome, select_candidates, vivify_clause
@@ -19,7 +20,7 @@ __all__ = [
     "Clause", "Formula", "ParseError", "parse_dimacs", "parse_dimacs_file", "to_dimacs",
     "RunRecord", "cli_main", "emit_csv", "gen_random_3sat", "verify_model",
     "TooLarge", "brute_force", "implied",
-    "ConfigError", "PortfolioConfig", "PortfolioResult", "diversify", "run",
+    "ConfigError", "PortfolioConfig", "PortfolioResult", "WorkerFault", "diversify", "run",
     "Stats", "merge_stats",
     "LPCM", "NONE", "PCM", "LcmMode", "Strategy", "ecm", "mode_from_label",
     "CandidatePolicy", "VivifyOutcome", "select_candidates", "vivify_clause",

@@ -75,7 +75,6 @@ class EngineConfig:
     reduce_first: int = 2000
     reduce_inc: int = 300
     vivify_budget: int = 1_000_000
-    seed: int = 0
     debug_checks: bool = False
 
 
@@ -137,7 +136,9 @@ class Engine:
 
         self._in_vivify = False
         self._vivify_props = 0
-        self._probe_moves = []
+        # probe rollback records, see _propagate_probe and undo_probe_moves
+        self._probe_swaps = []
+        self._probe_lists = {}
 
         if formula.contains_empty:
             self._terminal = UNSAT
@@ -225,29 +226,26 @@ class Engine:
     def undo_probe_moves(self):
         """Roll back every watch move made during a vivification probe.
 
-        Replayed in reverse, so each clause's literal swaps unwind in order.
-        Net effect: the set of clauses watching each literal and every
-        clause's watched positions are exactly as before the probe (order
-        within a watch list may differ, which carries no meaning).
+        Afterwards every clause has its pre-probe literal order again (so the
+        same watched positions), and every watch list holds the clauses it
+        held before the probe.  Order within a list is fixed too: a list the
+        probe processed keeps the residents that stayed, in their original
+        order, followed by the residents that moved out, in reverse order of
+        their moves; a list the probe only appended to is cut back to its
+        pre-probe contents.  No list is scanned: the literal swaps are
+        replayed in reverse, then each touched list is truncated and
+        extended once.
         """
-        watches = self.watches
-        watches_one = self.watches_one
-        n = self.num_vars
-        for entry in reversed(self._probe_moves):
-            tag = entry[0]
-            if tag == "m":
-                _, c, k, src = entry
-                watches[c.lits[1] + n].remove(c)
-                c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-                watches[src].append(c)
-            elif tag == "n":
-                c = entry[1]
-                c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-            else:  # "o": one-watch relocation
-                _, c, src, tgt = entry
-                watches_one[tgt].remove(c)
-                watches_one[src].append(c)
-        self._probe_moves.clear()
+        for c, a, b in reversed(self._probe_swaps):
+            lits = c.lits
+            lits[a], lits[b] = lits[b], lits[a]
+        for wl, keep, moved in self._probe_lists.values():
+            del wl[keep - len(moved):]
+            if moved:
+                moved.reverse()
+                wl.extend(moved)
+        self._probe_swaps.clear()
+        self._probe_lists.clear()
 
     # ------------------------------------------------------------------
     # propagation
@@ -256,12 +254,15 @@ class Engine:
         """Boolean constraint propagation to fixpoint.
 
         Returns the conflicting clause, or None.  Every processed trail
-        literal counts as one propagation, attributed to vivification when
-        running inside a vivification probe.
+        literal counts as one propagation.  Inside a vivification probe the
+        work goes to `_propagate_probe`, which also attributes the
+        propagations to vivification.
         """
         if self._attach_conflict is not None:
             c = self._attach_conflict
             return c
+        if self._in_vivify:
+            return self._propagate_probe()
         n = self.num_vars
         litval = self.litval
         watches = self.watches
@@ -270,7 +271,6 @@ class Engine:
         level = self.level
         reason = self.reason
         dl = self.decision_level
-        moves = self._probe_moves if self._in_vivify else None
         confl = None
         nprops = 0
         qhead = self.qhead
@@ -289,8 +289,6 @@ class Engine:
                 if lits[0] == -p:
                     lits[0] = lits[1]
                     lits[1] = -p
-                    if moves is not None:
-                        moves.append(("n", c))
                 first = lits[0]
                 if litval[first + n] == 1:
                     wl[j] = c
@@ -303,8 +301,6 @@ class Engine:
                         lits[1] = lk
                         lits[k] = -p
                         watches[lk + n].append(c)
-                        if moves is not None:
-                            moves.append(("m", c, k, fidx))
                         swapped = True
                         break
                 if swapped:
@@ -341,8 +337,6 @@ class Engine:
                     for lk in c.lits:
                         if lk != -p and litval[lk + n] != -1:
                             watches_one[lk + n].append(c)
-                            if moves is not None:
-                                moves.append(("o", c, fidx, lk + n))
                             moved = True
                             break
                     if moved:
@@ -360,9 +354,139 @@ class Engine:
                     break
         self.qhead = qhead
         self.stats.propagations_total += nprops
-        if self._in_vivify:
-            self.stats.propagations_vivify += nprops
-            self._vivify_props += nprops
+        return confl
+
+    def _propagate_probe(self):
+        """`propagate` inside a vivification probe, recording its rollback.
+
+        Inside one probe assignments only grow, so each falsified literal's
+        watch lists are processed at most once and nothing moves into them
+        afterwards.  That lets the rollback restore each list from two
+        records made here: its length before the probe first appended to it
+        or processed it, and the pre-probe residents that moved out of it.
+
+        A watch move swaps the falsified watch, at position 0 or 1, straight
+        with position k.  Positions 2 and up thus hold what the search loop
+        would leave there, and positions 0 and 1 the same two literals,
+        maybe swapped.  They are put in search order (implied or other watch
+        at 0, falsified watch at 1) only when the clause becomes a reason or
+        the conflict: conflict analysis reads the literal order of no other
+        clause.  Every literal swap is logged for the rollback.
+        """
+        n = self.num_vars
+        litval = self.litval
+        watches = self.watches
+        watches_one = self.watches_one
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        dl = self.decision_level
+        swaps = self._probe_swaps
+        touched = self._probe_lists  # key -> (list, pre-probe length, moved out)
+        confl = None
+        nprops = 0
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            nprops += 1
+            np_ = -p  # the falsified literal
+            fidx = n - p
+            wl = watches[fidx]
+            if wl:
+                rec = touched.get(fidx)
+                if rec is None:
+                    rec = touched[fidx] = (wl, len(wl), [])
+                _, keep, moved = rec
+                i = j = 0
+                end = len(wl)
+                while i < end:
+                    c = wl[i]
+                    i += 1
+                    lits = c.lits
+                    first = lits[0]
+                    if first == np_:
+                        first = lits[1]
+                        w = 0
+                    else:
+                        w = 1
+                    if litval[first + n] == 1:
+                        wl[j] = c
+                        j += 1
+                        continue
+                    for k in range(2, len(lits)):
+                        lk = lits[k]
+                        if litval[lk + n] != -1:
+                            lits[w] = lk
+                            lits[k] = np_
+                            swaps.append((c, w, k))
+                            t = lk + n
+                            tl = watches[t]
+                            if t not in touched:
+                                touched[t] = (tl, len(tl), [])
+                            tl.append(c)
+                            if i <= keep:
+                                moved.append(c)
+                            break
+                    else:
+                        wl[j] = c
+                        j += 1
+                        if w == 0:
+                            lits[0] = first
+                            lits[1] = np_
+                            swaps.append((c, 0, 1))
+                        if litval[first + n] == -1:
+                            while i < end:
+                                wl[j] = wl[i]
+                                j += 1
+                                i += 1
+                            confl = c
+                            break
+                        # unit: lits[0] is implied
+                        litval[first + n] = 1
+                        litval[n - first] = -1
+                        v = first if first > 0 else -first
+                        level[v] = dl
+                        reason[v] = c
+                        trail.append(first)
+                del wl[j:]
+                if confl is not None:
+                    break
+            ol = watches_one[fidx]
+            if ol:
+                key = ~fidx  # one-watch lists use negative keys
+                rec = touched.get(key)
+                if rec is None:
+                    rec = touched[key] = (ol, len(ol), [])
+                _, keep, moved = rec
+                i = j = 0
+                end = len(ol)
+                while i < end:
+                    c = ol[i]
+                    i += 1
+                    for lk in c.lits:
+                        if lk != np_ and litval[lk + n] != -1:
+                            t = lk + n
+                            tl = watches_one[t]
+                            if ~t not in touched:
+                                touched[~t] = (tl, len(tl), [])
+                            tl.append(c)
+                            if i <= keep:
+                                moved.append(c)
+                            break
+                    else:
+                        ol[j] = c
+                        j += 1
+                        if confl is None:
+                            confl = c
+                del ol[j:]
+                if confl is not None:
+                    break
+        self.qhead = qhead
+        stats = self.stats
+        stats.propagations_total += nprops
+        stats.propagations_vivify += nprops
+        self._vivify_props += nprops
         return confl
 
     # ------------------------------------------------------------------

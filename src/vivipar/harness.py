@@ -2,7 +2,7 @@
 
 Output follows SAT-Competition conventions: an ``s`` status line, ``v``
 model lines for satisfiable instances, and exit codes 10 (SAT), 20 (UNSAT),
-0 (unknown), 1 (usage or input error).
+0 (unknown), 1 (usage or input error), 3 (a worker failed).
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import os
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from . import portfolio
 from .cdcl import SAT, UNSAT
 from .formula import Formula, ParseError, evaluate, normalize_clause, parse_dimacs_file
 from .oracle import brute_force, implied  # noqa: F401  (re-exported oracle surface)
-from .portfolio import ConfigError, PortfolioConfig
+from .portfolio import ConfigError, PortfolioConfig, WorkerFault
 from .strategy import mode_from_label
 
 SEED_ENV_VAR = "VIVIPAR_SEED"
@@ -224,7 +225,12 @@ def cli_main(argv=None):
           f"mode={mode.label}, workers={config.num_workers}"
           f"{', deterministic' if config.deterministic else ''}")
     start = time.monotonic()
-    result = portfolio.run(formula, config)
+    try:
+        result = portfolio.run(formula, config)
+    except WorkerFault as e:
+        traceback.print_exception(e.__cause__, file=sys.stderr)
+        print(f"c {e}")
+        return 3
     wall = 0.0 if config.deterministic else time.monotonic() - start
 
     if args.stats_csv:

@@ -29,6 +29,18 @@ class ConfigError(Exception):
     """Contradictory or out-of-range portfolio configuration."""
 
 
+class WorkerFault(Exception):
+    """A worker thread raised; the run was stopped without an answer.
+
+    ``worker`` is the index of the first worker that failed; the original
+    exception is chained as ``__cause__``.
+    """
+
+    def __init__(self, worker, error):
+        super().__init__(f"worker {worker} failed: {type(error).__name__}: {error}")
+        self.worker = worker
+
+
 def default_workers():
     return min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
 
@@ -100,7 +112,6 @@ def diversify(worker_index, config):
         reduce_first=config.reduce_first,
         reduce_inc=config.reduce_inc,
         vivify_budget=config.vivify_budget,
-        seed=config.seed,
         debug_checks=config.debug_checks,
     )
     if worker_index == 0:
@@ -111,7 +122,6 @@ def diversify(worker_index, config):
         restart_kind="luby" if worker_index % 2 == 1 else "dynamic",
         var_decay=round(0.85 + 0.14 * rng.random(), 4),
         phase_init=worker_index % 2 == 1,
-        seed=config.seed * 101 + worker_index,
     )
 
 
@@ -135,7 +145,9 @@ def run(formula, config):
     """Solve one formula with the configured portfolio.
 
     The first definitive answer wins; the rest are cancelled cooperatively.
-    A Sat model is verified against the formula before it is reported.
+    A Sat model is verified against the formula before it is reported.  In
+    threaded mode an exception in any worker stops the others and raises
+    `WorkerFault`; deterministic mode lets it propagate unchanged.
     """
     config.validate()
     pool = SharedPool(config.num_workers)
@@ -187,11 +199,18 @@ def _run_threads(workers, config):
     deadline = (time.monotonic() + config.time_limit
                 if config.time_limit is not None else None)
     result = {}
+    faults = []
     lock = threading.Lock()
 
     def drive(w):
-        status = w.engine.solve(stop=stop, deadline=deadline,
-                                conflict_limit=config.conflict_limit)
+        try:
+            status = w.engine.solve(stop=stop, deadline=deadline,
+                                    conflict_limit=config.conflict_limit)
+        except Exception as e:
+            with lock:
+                faults.append((w.index, e))
+            stop.set()
+            return
         if status in (SAT, UNSAT):
             with lock:
                 if "status" not in result:
@@ -205,6 +224,9 @@ def _run_threads(workers, config):
         t.start()
     for t in threads:
         t.join()
+    if faults:
+        index, error = faults[0]
+        raise WorkerFault(index, error) from error
     if "status" in result:
         return result["status"], result["winner"]
     return UNKNOWN, None

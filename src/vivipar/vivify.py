@@ -13,6 +13,15 @@ The probe leaves the engine exactly as it found it: the clause is detached
 while probing so it cannot propagate against itself, heuristic bumps are
 suppressed, phases are not saved, and every watch move is rolled back.
 Only the propagation counters survive.
+
+Rollback contract (`Engine.undo_probe_moves`): every clause gets back its
+pre-probe literal order, so it watches the same literals at the same
+positions, and every watch list holds the same clauses as before.  A list the
+probe processed keeps the residents that stayed, in their original order,
+followed by the residents that moved out, in reverse order of their moves.
+The probed clause is re-attached at the end of its two watch lists.  The
+order is part of the deterministic behaviour: later propagation visits
+clauses in list order.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import pytest
 
+from vivipar.cdcl import Engine
 from vivipar.formula import Formula, to_dimacs
 from vivipar.harness import (CSV_COLUMNS, cli_main, emit_csv, gen_random_3sat,
                              make_record, read_csv, verify_model)
@@ -129,6 +130,21 @@ def test_cli_unknown_exit_0(tmp_path, capsys):
     code = cli_main([str(p), "--deterministic", "--conflict-limit", "0"])
     assert code == 0
     assert "s UNKNOWN" in capsys.readouterr().out
+
+
+def test_cli_worker_fault_exit_3(unsat_file, capsys, monkeypatch):
+    def faulty_decide(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Engine, "decide", faulty_decide)
+    assert cli_main([unsat_file, "--threads", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "RuntimeError: boom" in captured.err  # the worker's traceback
+    lines = captured.out.splitlines()
+    assert not [l for l in lines if l.startswith("s ")]
+    faults = [l for l in lines if l.startswith("c worker ")]
+    assert faults in (["c worker 0 failed: RuntimeError: boom"],
+                      ["c worker 1 failed: RuntimeError: boom"])
 
 
 def test_cli_usage_error_exit_1(capsys):

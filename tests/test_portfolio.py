@@ -7,8 +7,8 @@ from vivipar.cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
 from vivipar.formula import evaluate
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force
-from vivipar.portfolio import (ConfigError, PortfolioConfig, _Worker,
-                               diversify, run)
+from vivipar.portfolio import (ConfigError, PortfolioConfig, WorkerFault,
+                               _Worker, diversify, run)
 from vivipar.strategy import LPCM, NONE, PCM, ecm
 
 from conftest import mk_formula, php
@@ -147,3 +147,48 @@ def test_overflow_counts_surface_in_stats():
     total = sum(w.stats.clauses_exported for w in workers)
     if total > 4:
         assert overflowed > 0
+
+
+# ---------------------------------------------------------------- faults
+
+def test_worker_fault_in_one_thread_fails_the_run(monkeypatch):
+    # worker 1 holds its first decision until worker 0 has failed, so it
+    # cannot answer first; it must then be stopped, not reported
+    failed = threading.Event()
+    decide = Engine.decide
+
+    def faulty_decide(self):
+        if self.worker_id == 0:
+            failed.set()
+            raise RuntimeError("boom")
+        failed.wait(10)
+        return decide(self)
+
+    monkeypatch.setattr(Engine, "decide", faulty_decide)
+    with pytest.raises(WorkerFault) as info:
+        run(php(6, 5), PortfolioConfig(num_workers=2))
+    assert info.value.worker == 0
+    assert str(info.value) == "worker 0 failed: RuntimeError: boom"
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def test_worker_fault_in_every_thread_fails_the_run(monkeypatch):
+    def faulty_decide(self):
+        raise RuntimeError(f"boom {self.worker_id}")
+
+    monkeypatch.setattr(Engine, "decide", faulty_decide)
+    with pytest.raises(WorkerFault) as info:
+        run(php(6, 5), PortfolioConfig(num_workers=2))
+    w = info.value.worker
+    assert w in (0, 1)
+    assert str(info.value) == f"worker {w} failed: RuntimeError: boom {w}"
+    assert str(info.value.__cause__) == f"boom {w}"
+
+
+def test_deterministic_mode_propagates_worker_exception(monkeypatch):
+    def faulty_decide(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Engine, "decide", faulty_decide)
+    with pytest.raises(RuntimeError, match="boom"):
+        run(php(6, 5), PortfolioConfig(num_workers=2, deterministic=True))

@@ -76,6 +76,100 @@ def test_vivify_conflict_replacement():
     assert implied(3, [(1, 2), (1, -2), (1, 3)], out.new_lits)
 
 
+# ------------------------------------------------------------ rollback order
+#
+# Watch-list order decides the order of later propagation, so it is part of
+# the deterministic behaviour.  The rollback contract (see vivify.py) fixes
+# it: each list keeps the residents that stayed, in their original order,
+# followed by the residents that moved out, in reverse order.
+
+
+def engine_with_lists(num_vars, two_watched, one_watched=()):
+    """Engine over an empty formula plus learned clauses with exact literal
+    order, attached in the given order.  ``one_watched`` holds
+    (lits, watched position) pairs put on the one-watch standby."""
+    eng = Engine(mk_formula(num_vars, []), EngineConfig())
+    added = []
+    for lits in two_watched:
+        eng._cid += 1
+        c = Clause(list(lits), lbd=2, learned=True, cid=eng._cid)
+        eng.learned_db.append(c)
+        eng._attach(c)
+        added.append(c)
+    for lits, pos in one_watched:
+        eng._cid += 1
+        c = Clause(list(lits), lbd=2, learned=True, imported=True, cid=eng._cid)
+        eng.learned_db.append(c)
+        eng._attach_one(c, lits[pos])
+        added.append(c)
+    return eng, added
+
+
+def watch_orders(eng):
+    """Non-empty watch lists as {literal: [cid, ...]} in list order."""
+    n = eng.num_vars
+    two = {i - n: [c.cid for c in wl] for i, wl in enumerate(eng.watches) if wl}
+    one = {i - n: [c.cid for c in wl] for i, wl in enumerate(eng.watches_one) if wl}
+    return two, one
+
+
+def probe_and_check(eng, clause, kind):
+    """Vivify ``clause`` and check that the probe left no trace beyond the
+    documented list order; returns the post-probe watch orders."""
+    before = fingerprint(eng)
+    lits_before = {c.cid: list(c.lits) for c in eng.learned_db}
+    out = vivify_clause(eng, clause)
+    assert out.kind == kind
+    assert fingerprint(eng) == before
+    assert {c.cid: list(c.lits) for c in eng.learned_db} == lits_before
+    eng.check_watches()
+    return watch_orders(eng)
+
+
+def test_rollback_clause_moved_twice_into_falsified_list():
+    # probe (-1, -2, -3): #1 leaves list 1 for list 6; -2 forces -6 through
+    # #2, and #1 moves on from list 6 to list 7 (with #7 and #8 leaving too)
+    eng, cl = engine_with_lists(20, [
+        [1, 5, 6, 7], [2, -6], [1, 8], [1, 9, 10], [9, 1, 11],
+        [6, 12], [6, 13, 14], [13, 6, 15], [1, 2, 3]])
+    two, one = probe_and_check(eng, cl[-1], UNCHANGED)
+    assert two == {-6: [2], 1: [3, 5, 4, 1, 9], 2: [2, 9], 5: [1],
+                   6: [6, 8, 7], 8: [3], 9: [4, 5], 12: [6], 13: [7, 8]}
+    assert one == {}
+
+
+def test_rollback_conflict_mid_watch_list():
+    # probe (-1): #1 forces -22, #2 moves to list 21 (a list the probe never
+    # falsifies), #3 conflicts; #4 and #5 are never visited
+    eng, cl = engine_with_lists(30, [
+        [1, -22], [1, 20, 21], [1, 22], [1, 23, 24], [25, 1], [21, 26],
+        [1, 3, 4]])
+    two, one = probe_and_check(eng, cl[-1], CONFLICT_REPLACED)
+    assert two == {-22: [1], 1: [1, 3, 4, 5, 2, 7], 3: [7], 20: [2],
+                   21: [6], 22: [3], 23: [4], 25: [5], 26: [6]}
+    assert one == {}
+
+
+def test_rollback_one_watch_relocation():
+    # probe (-1, -30, -36): #2, #3, #5 leave standby list 1; #2 lands on
+    # list 30, which -30 then empties (#4 and #2 both move on)
+    eng, cl = engine_with_lists(40, [[1, 30, 36]], [
+        ([1, 30, 31], 0), ([32, 1, 33], 1), ([30, 35], 0), ([1, 37], 0)])
+    two, one = probe_and_check(eng, cl[0], UNCHANGED)
+    assert two == {1: [1], 30: [1]}
+    assert one == {1: [5, 3, 2], 30: [4]}
+
+
+def test_rollback_one_watch_conflict_keeps_scanning():
+    # probe (-2, -1): on standby list 1, #4 conflicts between #3 and #5,
+    # both of which still move (#3 onto list 40, which keeps its resident)
+    eng, cl = engine_with_lists(45, [[2, -22], [2, 1, 3]], [
+        ([1, 40, 41], 0), ([1, 22], 0), ([1, 42], 0), ([40, 43], 0)])
+    two, one = probe_and_check(eng, cl[1], CONFLICT_REPLACED)
+    assert two == {-22: [1], 1: [2], 2: [1, 2]}
+    assert one == {1: [4, 5, 3], 40: [6]}
+
+
 # ------------------------------------------------------------ selection
 
 def mk_db(lbds, activities=None):
