@@ -142,17 +142,22 @@ class Engine:
 
         if formula.contains_empty:
             self._terminal = UNSAT
+        watches = self.watches
+        originals = self.originals
+        cid = 0
         for lits in formula.clauses:
             if len(lits) == 1:
                 l = lits[0]
                 if not self._enqueue(l, None):
                     # contradictory input units surface as a level-0 conflict
-                    self._attach_conflict = Clause([l], lbd=1)
+                    self._attach_conflict = Clause([l])
             else:
-                self._cid += 1
-                c = Clause(lits, lbd=1, cid=self._cid)
-                self.originals.append(c)
-                self._attach(c)
+                cid += 1
+                c = Clause(lits, 1, False, False, cid)
+                originals.append(c)
+                watches[lits[0] + n].append(c)
+                watches[lits[1] + n].append(c)
+        self._cid = cid
 
     # ------------------------------------------------------------------
     # assignment and watches
@@ -186,17 +191,19 @@ class Engine:
             return
         n = self.num_vars
         litval = self.litval
+        reason = self.reason
+        saved_phase = self.saved_phase
         trail = self.trail
         mark = self.trail_lim[blevel]
         save_phase = not self._in_vivify
-        for i in range(len(trail) - 1, mark - 1, -1):
-            lit = trail[i]
+        # each variable appears once on the trail, so the order is free
+        for lit in trail[mark:]:
             v = lit if lit > 0 else -lit
             litval[lit + n] = 0
-            litval[-lit + n] = 0
-            self.reason[v] = None
+            litval[n - lit] = 0
+            reason[v] = None
             if save_phase:
-                self.saved_phase[v] = lit > 0
+                saved_phase[v] = lit > 0
         del trail[mark:]
         del self.trail_lim[blevel:]
         self.qhead = mark
@@ -272,88 +279,74 @@ class Engine:
         reason = self.reason
         dl = self.decision_level
         confl = None
-        nprops = 0
-        qhead = self.qhead
+        start = qhead = self.qhead
         while qhead < len(trail):
             p = trail[qhead]
             qhead += 1
-            nprops += 1
-            fidx = n - p  # index of the falsified literal -p
+            np_ = -p  # the falsified literal
+            fidx = n + np_
             wl = watches[fidx]
-            i = j = 0
-            end = len(wl)
-            while i < end:
-                c = wl[i]
-                i += 1
+            # Compact in place: entries kept are written back to wl[:j], the
+            # ones that moved to another list are dropped.  A move never
+            # appends to wl itself (its target literal is not false).
+            j = moved = 0
+            for c in wl:
                 lits = c.lits
-                if lits[0] == -p:
+                if lits[0] == np_:
                     lits[0] = lits[1]
-                    lits[1] = -p
+                    lits[1] = np_
                 first = lits[0]
                 if litval[first + n] == 1:
                     wl[j] = c
                     j += 1
                     continue
-                swapped = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
                     if litval[lk + n] != -1:
                         lits[1] = lk
-                        lits[k] = -p
+                        lits[k] = np_
                         watches[lk + n].append(c)
-                        swapped = True
+                        moved += 1
                         break
-                if swapped:
-                    continue
-                wl[j] = c
-                j += 1
-                if litval[first + n] == -1:
-                    while i < end:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    confl = c
-                    break
-                # unit: lits[0] is implied
-                litval[first + n] = 1
-                litval[n - first] = -1
-                v = first if first > 0 else -first
-                level[v] = dl
-                reason[v] = c
-                trail.append(first)
-            del wl[j:]
+                else:
+                    wl[j] = c
+                    j += 1
+                    if litval[first + n] == -1:
+                        confl = c
+                        break
+                    # unit: lits[0] is implied
+                    litval[first + n] = 1
+                    litval[n - first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = dl
+                    reason[v] = c
+                    trail.append(first)
             if confl is not None:
+                # wl[j:j + moved] holds stale copies of visited entries; the
+                # unvisited rest must stay
+                del wl[j:j + moved]
                 break
+            del wl[j:]
             # one-watch standby list: moves watches, detects full conflicts,
             # never propagates
             ol = watches_one[fidx]
             if ol:
-                i = j = 0
-                end = len(ol)
-                while i < end:
-                    c = ol[i]
-                    i += 1
-                    moved = False
+                j = 0
+                for c in ol:
                     for lk in c.lits:
-                        if lk != -p and litval[lk + n] != -1:
+                        if lk != np_ and litval[lk + n] != -1:
                             watches_one[lk + n].append(c)
-                            moved = True
                             break
-                    if moved:
-                        continue
-                    ol[j] = c
-                    j += 1
-                    if confl is None:
-                        confl = c
-                while i < end:
-                    ol[j] = ol[i]
-                    j += 1
-                    i += 1
+                    else:
+                        ol[j] = c
+                        j += 1
+                        if confl is None:
+                            confl = c
                 del ol[j:]
                 if confl is not None:
                     break
         self.qhead = qhead
-        self.stats.propagations_total += nprops
+        self.stats.propagations_total += qhead - start
         return confl
 
     def _propagate_probe(self):
@@ -505,11 +498,12 @@ class Engine:
         1.  ``bump=False`` suppresses all heuristic updates so vivification
         probes leave VSIDS and clause activities untouched.
         """
-        n = self.num_vars
         seen = self.seen
         trail = self.trail
         level = self.level
         reason = self.reason
+        act = self.activity
+        var_inc = self.var_inc
         cur = self.decision_level
         learnt = [0]
         to_clear = []
@@ -524,14 +518,19 @@ class Engine:
                     tightened = self.compute_lbd(c.lits)
                     if tightened < c.lbd:
                         c.lbd = tightened
-            for qi in range(0 if p == 0 else 1, len(c.lits)):
-                q = c.lits[qi]
+            # a reason clause's lits[0] is the literal it implied: skip it
+            for q in (c.lits[1:] if p else c.lits):
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     to_clear.append(v)
                     if bump:
-                        self._bump_var(v)
+                        # _bump_var, inlined
+                        a = act[v] + var_inc
+                        act[v] = a
+                        if a > 1e100:
+                            self._rescale_var_activity()
+                            var_inc = self.var_inc
                     if level[v] >= cur:
                         pathc += 1
                     else:
@@ -559,12 +558,17 @@ class Engine:
         if len(learnt) == 1:
             blevel = 0
         else:
+            # the first literal of the highest level goes to position 1
             mi = 1
+            q = learnt[1]
+            blevel = level[q if q > 0 else -q]
             for i in range(2, len(learnt)):
-                if level[abs(learnt[i])] > level[abs(learnt[mi])]:
+                q = learnt[i]
+                lv = level[q if q > 0 else -q]
+                if lv > blevel:
                     mi = i
+                    blevel = lv
             learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            blevel = level[abs(learnt[1])]
         lbd = self.compute_lbd(learnt)
         return learnt, blevel, lbd
 
@@ -581,39 +585,43 @@ class Engine:
         level = self.level
         to_clear = []
         for q in lits:
-            v = abs(q)
+            v = q if q > 0 else -q
             seen[v] = 1
             to_clear.append(v)
-        clause_levels = {level[abs(q)] for q in lits[1:]}
+        clause_levels = {level[q if q > 0 else -q] for q in lits[1:]}
         kept = [lits[0]]
         for q in lits[1:]:
-            if reason[abs(q)] is None or not self._lit_redundant(q, clause_levels, to_clear):
+            r = reason[q if q > 0 else -q]
+            if r is None:
                 kept.append(q)
+                continue
+            # q is redundant iff a depth-first walk over reasons reaches only
+            # seen or level-0 variables; the walk stops at a decision or at a
+            # level absent from the clause
+            top = len(to_clear)
+            stack = [r]
+            while stack:
+                for l in stack.pop().lits[1:]:
+                    v = l if l > 0 else -l
+                    if seen[v] or level[v] == 0:
+                        continue
+                    rv = reason[v]
+                    if rv is None or level[v] not in clause_levels:
+                        break
+                    seen[v] = 1
+                    to_clear.append(v)
+                    stack.append(rv)
+                else:
+                    continue
+                # not redundant: unmark what this walk marked, keep q
+                for v in to_clear[top:]:
+                    seen[v] = 0
+                del to_clear[top:]
+                kept.append(q)
+                break
         for v in to_clear:
             seen[v] = 0
         return kept
-
-    def _lit_redundant(self, lit, clause_levels, to_clear):
-        seen = self.seen
-        reason = self.reason
-        level = self.level
-        stack = [lit]
-        top = len(to_clear)
-        while stack:
-            c = reason[abs(stack.pop())]
-            for l in c.lits[1:]:
-                v = abs(l)
-                if not seen[v] and level[v] > 0:
-                    if reason[v] is not None and level[v] in clause_levels:
-                        seen[v] = 1
-                        to_clear.append(v)
-                        stack.append(l)
-                    else:
-                        for w in to_clear[top:]:
-                            seen[w] = 0
-                        del to_clear[top:]
-                        return False
-        return True
 
     # ------------------------------------------------------------------
     # heuristics
@@ -622,9 +630,13 @@ class Engine:
         act = self.activity
         act[v] += self.var_inc
         if act[v] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                act[i] *= 1e-100
-            self.var_inc *= 1e-100
+            self._rescale_var_activity()
+
+    def _rescale_var_activity(self):
+        act = self.activity
+        for i in range(1, self.num_vars + 1):
+            act[i] *= 1e-100
+        self.var_inc *= 1e-100
 
     def _bump_clause(self, c):
         c.activity += self.cla_inc
@@ -660,7 +672,7 @@ class Engine:
     def _learn(self, lits, lbd):
         self.stats.clauses_learned += 1
         self._cid += 1
-        c = Clause(lits, lbd=lbd, learned=True, cid=self._cid)
+        c = Clause(lits, lbd, True, False, self._cid)
         c.activity = self.cla_inc
         if len(lits) >= 2:
             # unit lemmas are enqueued at level 0 and never stored
@@ -733,8 +745,8 @@ class Engine:
         i1 = ordered.index(nonfalse[1])
         ordered[1], ordered[i1] = ordered[i1], ordered[1]
         self._cid += 1
-        c = Clause(ordered, lbd=max(1, min(new_lbd, len(ordered))),
-                   learned=old.learned, imported=old.imported, cid=self._cid)
+        c = Clause(ordered, max(1, min(new_lbd, len(ordered))),
+                   old.learned, old.imported, self._cid)
         c.activity = old.activity
         c.vivify_attempted = old.vivify_attempted
         c.protected = old.protected
@@ -785,7 +797,7 @@ class Engine:
                 continue
             self._cid += 1
             lbd = max(1, min(rec.lbd, len(lits)))
-            c = Clause(lits, lbd=lbd, learned=True, imported=True, cid=self._cid)
+            c = Clause(lits, lbd, True, True, self._cid)
             c.link = rec.link
             self.learned_db.append(c)
             # the watch policy keys on the exporter's claimed LBD

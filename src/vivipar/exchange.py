@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_MAX_PENDING = 1 << 16
 
@@ -40,14 +41,6 @@ class LinkCell:
         return self._value
 
 
-def publish_improvement(link, lits):
-    link.publish(lits)
-
-
-def poll_improvement(link):
-    return link.poll()
-
-
 @dataclass(frozen=True)
 class ExportFilter:
     """A clause is exported iff lbd <= max_lbd and len <= max_len."""
@@ -58,8 +51,7 @@ class ExportFilter:
         return lbd <= self.max_lbd and len(lits) <= self.max_len
 
 
-@dataclass(frozen=True)
-class SharedClause:
+class SharedClause(NamedTuple):
     """One exported clause record as seen by importers."""
     lits: tuple
     lbd: int
@@ -128,15 +120,10 @@ def export(pool, worker, clause, filt, mode, lits=None, lbd=None, stats=None,
             and not clause.vivify_attempted and len(lits) >= 2):
         link = LinkCell()
         clause.link = link
-    record = SharedClause(lits=lits, lbd=lbd, origin=worker, link=link)
+    record = SharedClause(lits, lbd, worker, link)
     pool.broadcast(record)
     if stats is not None:
         stats.clauses_exported += 1
     if recorder is not None:
         recorder.on_export(worker, clause, lits, lbd)
     return True
-
-
-def import_pending(pool, worker):
-    """Drain the worker's inbound buffer; records arrive FIFO per origin."""
-    return pool.drain(worker)

@@ -170,16 +170,17 @@ def to_dimacs(formula):
     return "\n".join(out) + "\n"
 
 
-def clause_satisfied(clause, true_lits):
-    """True iff some literal of the clause is in the set of true literals."""
-    return any(l in true_lits for l in clause)
-
-
 def evaluate(formula, model):
     """True iff the model (iterable of signed literals, one per variable)
-    satisfies every clause of the formula."""
+    satisfies every clause of the formula.
+
+    A clause is satisfied iff it shares a literal with the model; the
+    disjointness tests run in C, one call per clause.
+    """
+    if formula.contains_empty:
+        return False
     true_lits = set(model)
-    return all(clause_satisfied(c, true_lits) for c in formula.clauses) and not formula.contains_empty
+    return not any(map(true_lits.isdisjoint, formula.clauses))
 
 
 class Clause:

@@ -4,7 +4,9 @@ Parallel mode runs one thread per worker; the shared pool is the only
 mutable structure they touch in common, and a cooperative stop event is
 polled at every decision.  Deterministic mode runs the same workers on one
 thread, round-robin with a fixed conflict quantum per turn, which makes
-whole runs (including the stats) exactly reproducible.
+whole runs (including the stats) exactly reproducible; there a worker's
+engine is built at its first turn, so one that never gets a turn costs
+nothing.
 """
 
 from __future__ import annotations
@@ -126,19 +128,45 @@ def diversify(worker_index, config):
 
 
 class _Worker:
-    __slots__ = ("index", "engine", "strategy", "stats")
+    """One portfolio worker.  Its Engine and Strategy are built at first use,
+    so a deterministic worker that never gets a turn costs nothing and
+    reports an all-zero `Stats`."""
+
+    __slots__ = ("index", "stats", "_formula", "_config", "_pool",
+                 "_engine", "_strategy")
 
     def __init__(self, index, formula, config, pool):
         self.index = index
         self.stats = Stats()
-        self.engine = Engine(formula, diversify(index, config), self.stats,
-                             pool=pool, worker_id=index,
-                             recorder=config.recorder)
-        self.strategy = Strategy(
-            config.lcm, self.engine, pool=pool,
+        self._formula = formula
+        self._config = config
+        self._pool = pool
+        self._engine = None
+        self._strategy = None
+
+    def build(self):
+        """Build the engine and its strategy, once."""
+        if self._engine is not None:
+            return
+        config, pool = self._config, self._pool
+        self._engine = Engine(self._formula, diversify(self.index, config),
+                              self.stats, pool=pool, worker_id=self.index,
+                              recorder=config.recorder)
+        self._strategy = Strategy(
+            config.lcm, self._engine, pool=pool,
             export_filter=ExportFilter(config.export_max_lbd, config.export_max_len),
             policy=CandidatePolicy(max_lbd=config.vivify_max_lbd),
             recorder=config.recorder)
+
+    @property
+    def engine(self):
+        self.build()
+        return self._engine
+
+    @property
+    def strategy(self):
+        self.build()
+        return self._strategy
 
 
 def run(formula, config):
@@ -152,6 +180,10 @@ def run(formula, config):
     config.validate()
     pool = SharedPool(config.num_workers)
     workers = [_Worker(i, formula, config, pool) for i in range(config.num_workers)]
+    if not config.deterministic:
+        # every engine exists before the first thread starts searching
+        for w in workers:
+            w.build()
 
     start = time.monotonic()
     if config.deterministic:
@@ -181,6 +213,7 @@ def _run_round_robin(workers, config):
         for w in workers:
             if not active[w.index]:
                 continue
+            # .engine builds the worker at its first turn
             status = w.engine.step(pause_after=config.quantum,
                                    conflict_limit=config.conflict_limit)
             if status is None:

@@ -166,7 +166,7 @@ class Strategy:
                 self.recorder.on_vivify(eng.worker_id, c, out)
             apply_outcome(eng, c, out, recorder=self.recorder)
             if (self.mode.kind == "lpcm" and out.success and link is not None):
-                exchange.publish_improvement(link, out.new_lits)
+                link.publish(out.new_lits)
                 eng.stats.improvements_published += 1
                 if self.recorder is not None:
                     self.recorder.on_publish(eng.worker_id, out.new_lits)

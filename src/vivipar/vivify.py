@@ -31,7 +31,6 @@ from dataclasses import dataclass
 UNCHANGED = "unchanged"
 SHORTENED = "shortened"
 CONFLICT_REPLACED = "conflict_replaced"
-SATISFIED = "satisfied"
 
 
 @dataclass(frozen=True)
@@ -146,15 +145,13 @@ def apply_outcome(engine, clause, outcome, recorder=None):
     """Fold a vivification outcome back into the database.
 
     Returns the surviving clause (the original for Unchanged, the
-    replacement for a success) or None when the clause dissolved: removed as
-    satisfied, shrunk to a level-0 unit, or refuted (engine goes UNSAT).
+    replacement for a success) or None when the replacement dissolved:
+    satisfied at level 0, shrunk to a level-0 unit, or refuted (engine goes
+    UNSAT).
     The replacement's LBD is recomputed conservatively, capped at the old
     value (its literals are unassigned at level 0, so the conflict-analysis
     LBD or the new length is the best available bound).
     """
-    if outcome.kind == SATISFIED:
-        engine.remove_clause(clause)
-        return None
     if outcome.kind == UNCHANGED:
         return clause
     engine.stats.vivify_successes += 1

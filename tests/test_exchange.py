@@ -3,8 +3,7 @@ import threading
 import pytest
 
 from vivipar.exchange import (DoublePublish, ExportFilter, LinkCell,
-                              SharedClause, SharedPool, export, import_pending,
-                              poll_improvement, publish_improvement)
+                              SharedClause, SharedPool, export)
 from vivipar.formula import Clause
 from vivipar.strategy import LPCM, PCM
 
@@ -56,26 +55,26 @@ def test_lpcm_no_link_when_already_vivified():
 
 def test_import_empty_buffer():
     pool = SharedPool(2)
-    assert import_pending(pool, 0) == []
+    assert pool.drain(0) == []
 
 
 def test_import_fifo_and_no_self_import():
     pool = SharedPool(3)
     export(pool, 0, mk_clause([1, 2], lbd=1), ExportFilter(), PCM)
     export(pool, 0, mk_clause([3, 4], lbd=1), ExportFilter(), PCM)
-    got = import_pending(pool, 1)
+    got = pool.drain(1)
     assert [r.lits for r in got] == [(1, 2), (3, 4)]
     assert all(r.origin == 0 for r in got)
-    assert import_pending(pool, 0) == []  # origin never sees its own exports
-    assert [r.lits for r in import_pending(pool, 2)] == [(1, 2), (3, 4)]
+    assert pool.drain(0) == []  # origin never sees its own exports
+    assert [r.lits for r in pool.drain(2)] == [(1, 2), (3, 4)]
 
 
 def test_import_records_byte_identical():
     pool = SharedPool(3)
     c = mk_clause([5, -7, 2], lbd=3)
     export(pool, 0, c, ExportFilter(), PCM)
-    r1 = import_pending(pool, 1)[0]
-    r2 = import_pending(pool, 2)[0]
+    r1 = pool.drain(1)[0]
+    r2 = pool.drain(2)[0]
     assert r1.lits == tuple(c.lits) and r1.lbd == c.lbd
     assert r1 is r2  # one shared immutable record
 
@@ -98,17 +97,17 @@ def test_duplicate_clauses_from_different_origins_both_kept():
 
 def test_publish_poll_roundtrip():
     link = LinkCell()
-    assert poll_improvement(link) is None
-    publish_improvement(link, (1, 2))
-    assert poll_improvement(link) == (1, 2)
-    assert poll_improvement(link) == (1, 2)  # idempotent
+    assert link.poll() is None
+    link.publish((1, 2))
+    assert link.poll() == (1, 2)
+    assert link.poll() == (1, 2)  # idempotent
 
 
 def test_double_publish_raises():
     link = LinkCell()
-    publish_improvement(link, (1,))
+    link.publish((1,))
     with pytest.raises(DoublePublish):
-        publish_improvement(link, (2,))
+        link.publish((2,))
 
 
 def test_link_stress_no_torn_reads():

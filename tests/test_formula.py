@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vivipar.formula import (Clause, Formula, LiteralOutOfRange, MissingHeader,
                              ParseWarning, UnterminatedClause, check_meta,
@@ -112,6 +114,50 @@ def test_evaluate():
     assert evaluate(f, [1, 2])
     assert evaluate(f, [-1, 2])
     assert not evaluate(f, [1, -2])
+
+
+def naive_evaluate(formula, model):
+    """Reference model check: a plain loop over clauses and literals."""
+    true_lits = set(model)
+    for clause in formula.clauses:
+        for lit in clause:
+            if lit in true_lits:
+                break
+        else:
+            return False
+    return not formula.contains_empty
+
+
+@st.composite
+def formulas_and_models(draw):
+    n = draw(st.integers(1, 6))
+    lits = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    raw = draw(st.lists(st.lists(lits, min_size=1, max_size=4), max_size=12))
+    clauses = tuple(c for c in map(normalize_clause, raw) if c is not None)
+    formula = Formula(n, clauses, contains_empty=draw(st.booleans()))
+    total = st.tuples(*[st.sampled_from((v, -v)) for v in range(1, n + 1)])
+    model = draw(st.one_of(total, st.lists(lits, max_size=2 * n)))
+    return formula, list(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas_and_models())
+def test_evaluate_matches_naive_loop(case):
+    formula, model = case
+    assert evaluate(formula, model) == naive_evaluate(formula, model)
+
+
+@pytest.mark.parametrize("clauses, contains_empty, model, expected", [
+    ((), False, [], True),                 # empty formula: vacuously satisfied
+    ((), True, [1, 2], False),             # only the empty clause
+    (((1,), (-2,)), False, [1, -2], True),  # unit clauses
+    (((1,), (-2,)), False, [1, 2], False),
+    (((1,), (1, 2)), True, [1, 2], False),  # satisfied, but an empty clause
+])
+def test_evaluate_edge_cases(clauses, contains_empty, model, expected):
+    f = Formula(2, clauses, contains_empty=contains_empty)
+    assert evaluate(f, model) is expected
+    assert naive_evaluate(f, model) is expected
 
 
 def test_clause_meta_invariants():

@@ -7,6 +7,7 @@ from vivipar.cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
 from vivipar.formula import evaluate
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force
+from vivipar.stats import Stats
 from vivipar.portfolio import (ConfigError, PortfolioConfig, WorkerFault,
                                _Worker, diversify, run)
 from vivipar.strategy import LPCM, NONE, PCM, ecm
@@ -147,6 +148,56 @@ def test_overflow_counts_surface_in_stats():
     total = sum(w.stats.clauses_exported for w in workers)
     if total > 4:
         assert overflowed > 0
+
+
+# ---------------------------------------------------------- lazy workers
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Record (worker_id, building thread) for every Engine construction."""
+    builds = []
+    init = Engine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append((self.worker_id, threading.current_thread()))
+
+    monkeypatch.setattr(Engine, "__init__", counting_init)
+    return builds
+
+
+def test_deterministic_idle_worker_never_built(engine_builds):
+    # worker 0 answers within its first quantum, so worker 1 gets no turn
+    f = gen_random_3sat(20, 60, seed=4)
+    res = run(f, PortfolioConfig(num_workers=2, deterministic=True))
+    assert res.status == SAT and res.winner == 0
+    assert [w for w, _ in engine_builds] == [0]
+    assert res.worker_stats[0].conflicts < 512
+    assert res.worker_stats[1] == Stats()
+
+
+def test_deterministic_workers_built_at_first_turn(engine_builds):
+    res = run(php(6, 5), PortfolioConfig(num_workers=2, deterministic=True,
+                                         quantum=16))
+    assert res.status == UNSAT
+    assert [w for w, _ in engine_builds] == [0, 1]
+    assert all(s.conflicts > 0 for s in res.worker_stats)
+
+
+def test_threaded_engines_built_before_threads_start(engine_builds, monkeypatch):
+    events = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        events.append(("start", len(engine_builds)))
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    res = run(php(5, 4), PortfolioConfig(num_workers=3))
+    assert res.status == UNSAT
+    assert sorted(w for w, _ in engine_builds) == [0, 1, 2]
+    assert all(t is threading.main_thread() for _, t in engine_builds)
+    assert events == [("start", 3)] * 3
 
 
 # ---------------------------------------------------------------- faults

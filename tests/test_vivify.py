@@ -7,7 +7,7 @@ from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import implied
 from vivipar.strategy import PCM, Strategy
-from vivipar.vivify import (CONFLICT_REPLACED, SATISFIED, SHORTENED, UNCHANGED,
+from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             CandidatePolicy, VivifyOutcome, apply_outcome,
                             satisfied_at_root, select_candidates, vivify_clause)
 
@@ -256,7 +256,7 @@ def test_apply_replacement_rewatches():
 def test_apply_satisfied_removes():
     eng, c = engine_with_clause([[1]], 3, [1, 2])
     assert satisfied_at_root(eng, c)
-    res = apply_outcome(eng, c, VivifyOutcome(SATISFIED))
+    res = eng.remove_clause(c)
     assert res is None and c.removed
     assert eng.stats.vivify_successes == 0
 
