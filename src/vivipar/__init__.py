@@ -5,7 +5,6 @@ from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig, RestartPolicy, luby
 from .exchange import ExportFilter, LinkCell, SharedClause, SharedPool
 from .formula import Clause, Formula, ParseError, parse_dimacs, parse_dimacs_file, to_dimacs
 from .harness import RunRecord, cli_main, emit_csv, gen_random_3sat, verify_model
-from .oracle import TooLarge, brute_force, implied
 from .portfolio import (ConfigError, PortfolioConfig, PortfolioResult, WorkerFault,
                         diversify, run)
 from .stats import Stats, merge_stats
@@ -19,7 +18,6 @@ __all__ = [
     "ExportFilter", "LinkCell", "SharedClause", "SharedPool",
     "Clause", "Formula", "ParseError", "parse_dimacs", "parse_dimacs_file", "to_dimacs",
     "RunRecord", "cli_main", "emit_csv", "gen_random_3sat", "verify_model",
-    "TooLarge", "brute_force", "implied",
     "ConfigError", "PortfolioConfig", "PortfolioResult", "WorkerFault", "diversify", "run",
     "Stats", "merge_stats",
     "LPCM", "NONE", "PCM", "LcmMode", "Strategy", "ecm", "mode_from_label",

@@ -14,8 +14,10 @@ engines build for themselves from a Formula.
 from __future__ import annotations
 
 import io
+import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class ParseError(Exception):
@@ -56,7 +58,8 @@ def normalize_clause(lits):
     for l in unique:
         if -l in unique:
             return None
-    return tuple(sorted(unique, key=lambda l: (abs(l), l < 0)))
+    # without a tautology no two literals share a variable, so |l| orders them
+    return tuple(sorted(unique, key=abs))
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,12 @@ class Formula:
     contains_empty: bool = False
 
     def __post_init__(self):
-        for c in self.clauses:
-            for l in c:
-                if not 1 <= abs(l) <= self.num_vars:
-                    raise ValueError(f"literal {l} out of range 1..{self.num_vars}")
+        lits = set(chain.from_iterable(self.clauses))
+        n = self.num_vars
+        if lits and (max(lits) > n or min(lits) < -n or 0 in lits):
+            for l in chain.from_iterable(self.clauses):  # name the first offender
+                if not 1 <= abs(l) <= n:
+                    raise ValueError(f"literal {l} out of range 1..{n}")
 
 
 def parse_dimacs(text, filename="<input>"):
@@ -88,10 +93,98 @@ def parse_dimacs(text, filename="<input>"):
     with ``0`` terminating each clause, and the SATLIB ``%`` end marker.
     Clauses beyond the declared count are accepted with a ParseWarning.
     Tautological clauses are dropped; duplicate literals are merged.
+
+    Well-formed input is parsed in one bulk pass over the whole text.
+    Anything that pass declines (comments after the header, and every
+    malformed input) goes through the line-by-line parser, which alone
+    reports errors with their line numbers.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
+    parsed = _parse_bulk(text)
+    if parsed is None:
+        parsed = _parse_lines(text, filename)
+    formula, declared_clauses = parsed
+    total = len(formula.clauses) + (1 if formula.contains_empty else 0)
+    if total > declared_clauses:
+        warnings.warn(
+            f"{filename}: {total} clauses found, header declared {declared_clauses}",
+            ParseWarning, stacklevel=2)
+    return formula
 
+
+# A line "starts with" a character after its leading whitespace, as in
+# ``line.strip()``: regex ``\s`` and ``str.strip`` agree on every code point,
+# and both ``^`` under re.M and io.StringIO break lines only at "\n".
+_HEADER_LINE = re.compile(r"^[^\S\n]*(p[^\n]*)", re.M)
+_END_MARKER_LINE = re.compile(r"^[^\S\n]*%", re.M)
+
+
+def _parse_bulk(text):
+    """Parse well-formed DIMACS text with whole-text C-level calls.
+
+    Returns ``(formula, declared_clauses)`` exactly as `_parse_lines` would,
+    or ``None`` for any input it declines: a non-comment line before the
+    header, a bad header, a comment or second header after it, a bad token,
+    an out-of-range literal or an unterminated clause.
+    """
+    m = _HEADER_LINE.search(text)
+    if m is None:
+        return None
+    for line in text[:m.start()].split("\n"):
+        line = line.strip()
+        if line and line[0] != "c":
+            return None
+    parts = m.group(1).split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        return None
+    try:
+        num_vars, declared_clauses = int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    if num_vars < 0 or declared_clauses < 0:
+        return None
+
+    body = text[m.end():]
+    if "%" in body:
+        end = _END_MARKER_LINE.search(body)
+        if end is not None:
+            body = body[:end.start()]
+    try:  # a comment or second header line declines here: no int starts with c or p
+        toks = list(map(int, body.split()))
+    except ValueError:
+        return None
+    if toks and (toks[-1] != 0 or max(toks) > num_vars or min(toks) < -num_vars):
+        return None
+
+    clauses = []
+    append = clauses.append
+    contains_empty = False
+    index = toks.index
+    start, n = 0, len(toks)
+    while start < n:
+        stop = index(0, start)
+        lits = toks[start:stop]
+        start = stop + 1
+        if not lits:
+            contains_empty = True
+            continue
+        lits.sort(key=abs)
+        if len(set(map(abs, lits))) == len(lits):
+            append(tuple(lits))
+        else:  # a repeated variable: a duplicate literal or a tautology
+            norm = normalize_clause(lits)
+            if norm is not None:
+                append(norm)
+    return Formula(num_vars, tuple(clauses), contains_empty), declared_clauses
+
+
+def _parse_lines(text, filename):
+    """Parse DIMACS text line by line; the reference for `_parse_bulk`.
+
+    Returns ``(formula, declared_clauses)``, or raises a ParseError naming
+    the offending line.
+    """
     num_vars = None
     declared_clauses = None
     clauses = []
@@ -146,12 +239,8 @@ def parse_dimacs(text, filename="<input>"):
         raise UnterminatedClause("clause not terminated by 0 at EOF", filename, pending_line)
     if num_vars is None:
         raise MissingHeader("no 'p cnf' header found", filename, 0)
-    total = len(clauses) + (1 if contains_empty else 0)
-    if total > declared_clauses:
-        warnings.warn(
-            f"{filename}: {total} clauses found, header declared {declared_clauses}",
-            ParseWarning, stacklevel=2)
-    return Formula(num_vars=num_vars, clauses=tuple(clauses), contains_empty=contains_empty)
+    return Formula(num_vars=num_vars, clauses=tuple(clauses),
+                   contains_empty=contains_empty), declared_clauses
 
 
 def parse_dimacs_file(path):

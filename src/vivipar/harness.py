@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import portfolio
 from .cdcl import SAT, UNSAT
 from .formula import Formula, ParseError, evaluate, normalize_clause, parse_dimacs_file
-from .oracle import brute_force, implied  # noqa: F401  (re-exported oracle surface)
 from .portfolio import ConfigError, PortfolioConfig, WorkerFault
 from .strategy import mode_from_label
 
@@ -192,7 +191,13 @@ def cli_main(argv=None):
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        raw_seed = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw_seed)
+        except ValueError:
+            print(f"error: {SEED_ENV_VAR} must be an integer, got {raw_seed!r}",
+                  file=sys.stderr)
+            return 1
 
     try:
         formula = parse_dimacs_file(args.file)
@@ -251,10 +256,12 @@ def cli_main(argv=None):
 
 
 def _print_model(model, per_line=16):
-    for i in range(0, len(model), per_line):
-        chunk = model[i:i + per_line]
-        tail = " 0" if i + per_line >= len(model) else ""
-        print("v " + " ".join(str(l) for l in chunk) + tail)
+    """Print ``v`` lines of at most ``per_line`` literals; the last line ends
+    with the terminating 0, so an empty model still prints ``v 0``."""
+    chunks = [model[i:i + per_line] for i in range(0, len(model), per_line)] or [[]]
+    chunks[-1] = [*chunks[-1], 0]
+    for chunk in chunks:
+        print("v " + " ".join(map(str, chunk)))
 
 
 def main():

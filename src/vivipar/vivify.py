@@ -50,7 +50,6 @@ class CandidatePolicy:
     """Which learned clauses are worth vivifying: the lowest-LBD half of the
     database, capped at max_lbd, each clause tried at most once."""
     max_lbd: int = 5
-    require_not_attempted: bool = True
 
 
 def select_candidates(db, policy, exclude_imported=True):
@@ -62,7 +61,7 @@ def select_candidates(db, policy, exclude_imported=True):
     for c in live[:len(live) // 2]:
         if c.lbd > policy.max_lbd:
             continue
-        if policy.require_not_attempted and c.vivify_attempted:
+        if c.vivify_attempted:
             continue
         if exclude_imported and c.imported:
             continue

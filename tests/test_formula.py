@@ -1,12 +1,15 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vivipar import formula
 from vivipar.formula import (Clause, Formula, LiteralOutOfRange, MissingHeader,
-                             ParseWarning, UnterminatedClause, check_meta,
-                             evaluate, normalize_clause, parse_dimacs, to_dimacs)
+                             ParseError, ParseWarning, UnterminatedClause,
+                             check_meta, evaluate, normalize_clause, parse_dimacs,
+                             to_dimacs)
 from vivipar.harness import gen_random_3sat
 
 
@@ -66,6 +69,111 @@ def test_parse_empty_clause_is_unsat_marker():
 def test_parse_bytes_input():
     f = parse_dimacs(b"p cnf 2 1\n-1 2 0\n")
     assert f.clauses == ((-1, 2),)
+
+
+# SATLIB's uf20-91 layout: comments before a header with a double space and a
+# trailing blank, clause lines with a leading space, and the "%" / "0" trailer.
+SATLIB_STYLE = """c This Formular is generated by mcnf
+c
+c    horn? no 
+c    forced? no 
+c    mixed sat? no 
+c    clause length = 3 
+c
+p cnf 5  4 
+ 4 -1 5 0
+3 1 -5 0
+-2  -4 3 0
+ 5 2 -3 0
+%
+0
+
+"""
+
+
+def test_satlib_style_file_takes_the_bulk_pass(monkeypatch):
+    def line_parser(text, filename):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(formula, "_parse_lines", line_parser)
+    f = parse_dimacs(SATLIB_STYLE)
+    assert f == Formula(5, ((-1, 4, 5), (1, 3, -5), (-2, 3, -4), (2, -3, 5)))
+
+
+_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\r", "\x0c", "\xa0"])
+_ODD_TOKENS = st.sampled_from(["+0", "-0", "00", "1_0", "+1", "\u0663", "x", "1.0", "--1"])
+_TERMINATORS = st.sampled_from(["0", "0", "0", "0", "-0", "+0", "00"])
+_COMMENT_LINES = st.sampled_from(["", "  ", "c", "c comment", " c x", "c 100%"])
+_ODD_HEADERS = ["p cnf", "p dnf {n} {m}", "p cnf -1 {m}", "p cnf {n} x",
+                "p cnf +{n} 0{m}", "pcnf 1 1", "p cnf {n} 1 2", " p  cnf {n} {m} "]
+_ODD_BODY_LINES = st.sampled_from(["", "  ", "c mid", " c", "%", " % x", "p cnf 1 1"])
+_RARE = st.sampled_from([False] * 19 + [True])  # True one draw in twenty; shrinks to False
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS-like text: mostly well formed, with every oddity the parser
+    handles (comments, "%", CRLF, blank lines, odd zero tokens, duplicate
+    and tautological literals, empty clauses, bad headers, out-of-range
+    literals, unterminated clauses, more clauses than declared)."""
+    def rarely():
+        return draw(_RARE)
+
+    n = draw(st.integers(0, 6))
+    var = st.integers(1, n) if n and not rarely() else st.just(n + 1)
+    lit = var.flatmap(lambda v: st.sampled_from((str(v), str(-v))))
+    lines = draw(st.lists(_COMMENT_LINES, max_size=3))
+    if rarely():
+        lines.append(draw(st.sampled_from(["%", "1 0"])))
+    if not rarely():
+        m = draw(st.integers(0, 6))
+        header = draw(st.sampled_from(_ODD_HEADERS)) if rarely() else "p cnf {n} {m}"
+        lines.append(header.format(n=n, m=m))
+    for _ in range(draw(st.integers(0, 7))):
+        if rarely():
+            lines.append(draw(_ODD_BODY_LINES))
+            continue
+        sep = draw(_SEPARATORS)
+        toks = [draw(_ODD_TOKENS) if rarely() else draw(lit)
+                for _ in range(draw(st.integers(0, 4)))]
+        if not rarely():
+            toks.append(draw(_TERMINATORS))
+        lines.append(draw(st.sampled_from(["", sep])) + sep.join(toks))
+    if draw(st.booleans()):
+        lines += ["%", draw(st.sampled_from(["0", "junk", "c", ""]))]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _outcome(parse, text):
+    """(Formula or (error type, message), [(warning type, message, file)])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except ParseError as e:
+            result = (type(e), str(e))
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+@settings(max_examples=500, deadline=None)
+@given(dimacs_texts())
+def test_parse_dimacs_matches_line_parser(text):
+    def reference(text):
+        formula_, declared = formula._parse_lines(text, "t.cnf")
+        total = len(formula_.clauses) + formula_.contains_empty
+        if total > declared:
+            warnings.warn(f"t.cnf: {total} clauses found, header declared {declared}",
+                          ParseWarning)
+        return formula_
+
+    got = _outcome(lambda t: parse_dimacs(t, filename="t.cnf"), text)
+    assert got == _outcome(reference, text)
+    for *_, filename in got[1]:
+        assert filename == __file__  # warnings name parse_dimacs's caller
+    bulk = formula._parse_bulk(text)
+    if bulk is not None:
+        assert bulk == formula._parse_lines(text, "t.cnf")
 
 
 def test_normalize_dedup():

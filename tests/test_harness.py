@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import vivipar
 from vivipar.cdcl import Engine
 from vivipar.formula import Formula, to_dimacs
 from vivipar.harness import (CSV_COLUMNS, cli_main, emit_csv, gen_random_3sat,
@@ -118,6 +123,24 @@ def test_cli_sat_exit_10_model_printed(sat_file, capsys):
     assert verify_model(f, lits[:-1])
 
 
+def test_cli_zero_variable_sat_prints_v_0(tmp_path, capsys):
+    p = tmp_path / "empty.cnf"
+    p.write_text("p cnf 0 0\n")
+    assert cli_main([str(p), "--deterministic"]) == 10
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("s SATISFIABLE") + 1] == "v 0"
+
+
+def test_cli_model_lines_end_with_single_0(tmp_path, capsys):
+    f = Formula(32, tuple((v,) for v in range(1, 33)))  # 32 literals: two full lines
+    p = tmp_path / "units.cnf"
+    p.write_text(to_dimacs(f))
+    assert cli_main([str(p), "--deterministic"]) == 10
+    vlines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("v ")]
+    assert vlines == ["v " + " ".join(map(str, range(1, 17))),
+                      "v " + " ".join(map(str, range(17, 33))) + " 0"]
+
+
 def test_cli_unsat_exit_20(unsat_file, capsys):
     assert cli_main([unsat_file, "--deterministic"]) == 20
     assert "s UNSATISFIABLE" in capsys.readouterr().out
@@ -186,3 +209,23 @@ def test_cli_seed_env_fallback(sat_file, tmp_path, capsys, monkeypatch):
     cli_main([path, "--deterministic", "--threads", "3", "--lcm=pcm",
               "--seed", "99", "--stats-csv", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_seed_env_not_an_integer_exit_1(sat_file, capsys, monkeypatch):
+    path, _ = sat_file
+    monkeypatch.setenv("VIVIPAR_SEED", "abc")
+    assert cli_main([path, "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: VIVIPAR_SEED must be an integer, got 'abc'"
+    assert "s " not in captured.out
+
+
+def test_import_does_not_load_numpy():
+    """numpy is for the test oracle only; the solver and CLI never import it."""
+    src = os.path.dirname(os.path.dirname(vivipar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, vivipar, vivipar.harness; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
