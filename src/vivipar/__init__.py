@@ -1,10 +1,10 @@
 """vivipar: a parallel portfolio CDCL SAT solver with vivification-based
 learned-clause minimization (PCM, LPCM, ECM)."""
 
-from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig, RestartPolicy, luby
+from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig, luby
 from .exchange import ExportFilter, LinkCell, SharedClause, SharedPool
 from .formula import Clause, Formula, ParseError, parse_dimacs, parse_dimacs_file, to_dimacs
-from .harness import RunRecord, cli_main, emit_csv, gen_random_3sat, verify_model
+from .harness import RunRecord, cli_main, emit_csv, gen_random_3sat
 from .portfolio import (ConfigError, PortfolioConfig, PortfolioResult, WorkerFault,
                         diversify, run)
 from .stats import Stats, merge_stats
@@ -14,10 +14,10 @@ from .vivify import CandidatePolicy, VivifyOutcome, select_candidates, vivify_cl
 __version__ = "0.1.0"
 
 __all__ = [
-    "SAT", "UNSAT", "UNKNOWN", "Engine", "EngineConfig", "RestartPolicy", "luby",
+    "SAT", "UNSAT", "UNKNOWN", "Engine", "EngineConfig", "luby",
     "ExportFilter", "LinkCell", "SharedClause", "SharedPool",
     "Clause", "Formula", "ParseError", "parse_dimacs", "parse_dimacs_file", "to_dimacs",
-    "RunRecord", "cli_main", "emit_csv", "gen_random_3sat", "verify_model",
+    "RunRecord", "cli_main", "emit_csv", "gen_random_3sat",
     "ConfigError", "PortfolioConfig", "PortfolioResult", "WorkerFault", "diversify", "run",
     "Stats", "merge_stats",
     "LPCM", "NONE", "PCM", "LcmMode", "Strategy", "ecm", "mode_from_label",

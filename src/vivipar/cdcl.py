@@ -40,32 +40,8 @@ def luby(i):
 
 
 @dataclass
-class RestartPolicy:
-    kind: str = "dynamic"  # "dynamic" or "luby"
-    window: int = 50
-    k: float = 0.8
-    luby_unit: int = 100
-
-
-def should_restart(policy, recent_lbds, global_lbd_mean, conflicts_since_restart,
-                   restart_index):
-    """Restart decision.
-
-    Dynamic mode fires when the sliding window is full and its mean LBD
-    exceeds ``k`` times the global mean.  Luby mode fires when the conflicts
-    since the last restart reach ``luby_unit * luby(restart_index)``.
-    """
-    if policy.kind == "luby":
-        return conflicts_since_restart >= policy.luby_unit * luby(restart_index)
-    if len(recent_lbds) < policy.window:
-        return False
-    window_mean = sum(recent_lbds) / len(recent_lbds)
-    return window_mean > policy.k * global_lbd_mean
-
-
-@dataclass
 class EngineConfig:
-    restart_kind: str = "dynamic"
+    restart_kind: str = "dynamic"  # "dynamic" or "luby"
     restart_window: int = 50
     restart_k: float = 0.8
     luby_unit: int = 100
@@ -78,13 +54,34 @@ class EngineConfig:
     debug_checks: bool = False
 
 
+def should_restart(cfg, recent_lbds, global_lbd_mean, conflicts_since_restart,
+                   restart_index):
+    """Restart decision under the restart fields of an EngineConfig.
+
+    Dynamic mode fires when the sliding window of ``restart_window`` LBDs is
+    full and its mean exceeds ``restart_k`` times the global mean.  Luby mode
+    fires when the conflicts since the last restart reach
+    ``luby_unit * luby(restart_index)``.
+    """
+    if cfg.restart_kind == "luby":
+        return conflicts_since_restart >= cfg.luby_unit * luby(restart_index)
+    if len(recent_lbds) < cfg.restart_window:
+        return False
+    window_mean = sum(recent_lbds) / len(recent_lbds)
+    return window_mean > cfg.restart_k * global_lbd_mean
+
+
 class Engine:
     """A single CDCL solver over an immutable Formula.
 
     Owned by exactly one worker; all cross-worker traffic goes through the
     ``pool`` (see the exchange module).  ``hooks`` is the strategy object
     driving vivification and exports; without hooks the engine behaves as a
-    plain baseline solver.
+    plain baseline solver.  ``recorder``, when set, is the run's event sink:
+    the engine, its strategy, vivification and export call it with one plain
+    tuple per event, ``(kind, worker, ...)`` (README lists the kinds).  The
+    engine's own are ``("decide", w, lit)``, ``("conflict", w, lbd)``,
+    ``("restart", w)`` and ``("reduce_remove", w, cid, protected)``.
     """
 
     def __init__(self, formula, config=None, stats=None, pool=None, worker_id=0,
@@ -96,7 +93,6 @@ class Engine:
         self.worker_id = worker_id
         self.recorder = recorder
         self.hooks = None
-        self.trace = None  # optional list of ("d",lit)/("c",lbd)/("r",) events
 
         n = formula.num_vars
         self.num_vars = n
@@ -116,9 +112,6 @@ class Engine:
         self.saved_phase = [self.cfg.phase_init] * (n + 1)
         self.decisions = 0
 
-        self.restart_policy = RestartPolicy(
-            kind=self.cfg.restart_kind, window=self.cfg.restart_window,
-            k=self.cfg.restart_k, luby_unit=self.cfg.luby_unit)
         self.lbd_window = deque(maxlen=self.cfg.restart_window)
         self._lbd_sum = 0
         self._since_restart = 0
@@ -525,7 +518,6 @@ class Engine:
                     seen[v] = 1
                     to_clear.append(v)
                     if bump:
-                        # _bump_var, inlined
                         a = act[v] + var_inc
                         act[v] = a
                         if a > 1e100:
@@ -626,12 +618,6 @@ class Engine:
     # ------------------------------------------------------------------
     # heuristics
 
-    def _bump_var(self, v):
-        act = self.activity
-        act[v] += self.var_inc
-        if act[v] > 1e100:
-            self._rescale_var_activity()
-
     def _rescale_var_activity(self):
         act = self.activity
         for i in range(1, self.num_vars + 1):
@@ -706,7 +692,7 @@ class Engine:
             self._detach(c)
             c.removed = True
             if self.recorder is not None:
-                self.recorder.on_reduce_remove(self.worker_id, c)
+                self.recorder(("reduce_remove", self.worker_id, c.cid, c.protected))
         self.learned_db = [c for c in self.learned_db if not c.removed]
         self.stats.reductions += 1
         self._reduces_done += 1
@@ -819,7 +805,7 @@ class Engine:
         if conflicts == 0 or self._since_restart == 0:
             return False
         mean = self._lbd_sum / conflicts
-        return should_restart(self.restart_policy, self.lbd_window, mean,
+        return should_restart(self.cfg, self.lbd_window, mean,
                               self._since_restart, self.stats.restarts + 1)
 
     def step(self, pause_after=None, stop=None, deadline=None, conflict_limit=None):
@@ -847,8 +833,8 @@ class Engine:
                 self.lbd_window.append(lbd)
                 self._lbd_sum += lbd
                 self._decay()
-                if self.trace is not None:
-                    self.trace.append(("c", lbd))
+                if self.recorder is not None:
+                    self.recorder(("conflict", self.worker_id, lbd))
                 if self.hooks is not None:
                     self.hooks.on_learn(c)
                 continue
@@ -872,8 +858,8 @@ class Engine:
                 self._since_restart = 0
                 self.lbd_window.clear()
                 self.backtrack(0)
-                if self.trace is not None:
-                    self.trace.append(("r",))
+                if self.recorder is not None:
+                    self.recorder(("restart", self.worker_id))
                 if self.hooks is not None:
                     self.hooks.on_restart()
                     if self._terminal is not None:
@@ -900,8 +886,8 @@ class Engine:
             if lit is None:
                 self._terminal = SAT
                 return SAT
-            if self.trace is not None:
-                self.trace.append(("d", lit))
+            if self.recorder is not None:
+                self.recorder(("decide", self.worker_id, lit))
             self.assume(lit)
 
     def solve(self, stop=None, deadline=None, conflict_limit=None):

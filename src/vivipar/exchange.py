@@ -108,7 +108,8 @@ def export(pool, worker, clause, filt, mode, lits=None, lbd=None, stats=None,
     exports the post-vivification form).  In LPCM mode a fresh LinkCell is
     allocated and attached iff the exporting worker has not yet attempted to
     vivify the clause (an already-vivified clause has nothing left to
-    publish); units cannot shrink, so they never carry a link.
+    publish); units cannot shrink, so they never carry a link.  ``stats``
+    and ``recorder`` are the exporting engine's.
     Returns True when the record was exported.
     """
     lits = tuple(lits if lits is not None else clause.lits)
@@ -125,5 +126,5 @@ def export(pool, worker, clause, filt, mode, lits=None, lbd=None, stats=None,
     if stats is not None:
         stats.clauses_exported += 1
     if recorder is not None:
-        recorder.on_export(worker, clause, lits, lbd)
+        recorder(("export", worker, clause.cid, lits, lbd, clause.vivify_attempted))
     return True

@@ -91,6 +91,9 @@ def parse_dimacs(text, filename="<input>"):
     Accepts competition-flavor input: ``c`` comment lines, a
     ``p cnf <vars> <clauses>`` header, whitespace-separated signed integers
     with ``0`` terminating each clause, and the SATLIB ``%`` end marker.
+    A number is ASCII digits with an optional sign (``+1`` is accepted, as
+    MiniSat's reader accepts it); ``1_0`` and non-ASCII digits are bad
+    tokens, though Python's ``int`` takes them.
     Clauses beyond the declared count are accepted with a ParseWarning.
     Tautological clauses are dropped; duplicate literals are merged.
 
@@ -120,6 +123,13 @@ _HEADER_LINE = re.compile(r"^[^\S\n]*(p[^\n]*)", re.M)
 _END_MARKER_LINE = re.compile(r"^[^\S\n]*%", re.M)
 
 
+def _dimacs_int(tok):
+    """``int(tok)`` for a DIMACS number: ValueError on ``_`` or non-ASCII."""
+    if "_" in tok or not tok.isascii():
+        raise ValueError(f"not a DIMACS number: {tok!r}")
+    return int(tok)
+
+
 def _parse_bulk(text):
     """Parse well-formed DIMACS text with whole-text C-level calls.
 
@@ -139,7 +149,7 @@ def _parse_bulk(text):
     if len(parts) != 4 or parts[1] != "cnf":
         return None
     try:
-        num_vars, declared_clauses = int(parts[2]), int(parts[3])
+        num_vars, declared_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
     except ValueError:
         return None
     if num_vars < 0 or declared_clauses < 0:
@@ -150,6 +160,8 @@ def _parse_bulk(text):
         end = _END_MARKER_LINE.search(body)
         if end is not None:
             body = body[:end.start()]
+    if "_" in body or not body.isascii():  # bad tokens to DIMACS, not to int()
+        return None
     try:  # a comment or second header line declines here: no int starts with c or p
         toks = list(map(int, body.split()))
     except ValueError:
@@ -205,7 +217,7 @@ def _parse_lines(text, filename):
             if len(parts) != 4 or parts[1] != "cnf":
                 raise MissingHeader(f"bad header {stripped!r}", filename, lineno)
             try:
-                num_vars, declared_clauses = int(parts[2]), int(parts[3])
+                num_vars, declared_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
             except ValueError:
                 raise MissingHeader(f"bad header {stripped!r}", filename, lineno) from None
             if num_vars < 0 or declared_clauses < 0:
@@ -215,7 +227,7 @@ def _parse_lines(text, filename):
             raise MissingHeader(f"clause data before header: {stripped!r}", filename, lineno)
         for tok in stripped.split():
             try:
-                lit = int(tok)
+                lit = _dimacs_int(tok)
             except ValueError:
                 raise ParseError(f"bad token {tok!r}", filename, lineno) from None
             if lit == 0:

@@ -13,33 +13,20 @@ import os
 import random
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 from . import portfolio
 from .cdcl import SAT, UNSAT
-from .formula import Formula, ParseError, evaluate, normalize_clause, parse_dimacs_file
+from .formula import Formula, ParseError, normalize_clause, parse_dimacs_file
 from .portfolio import ConfigError, PortfolioConfig, WorkerFault
+from .stats import COUNTERS
 from .strategy import mode_from_label
 
 SEED_ENV_VAR = "VIVIPAR_SEED"
 DEFAULT_TIME_LIMIT = 60.0
 
-CSV_COLUMNS = [
-    "instance", "mode", "workers", "status", "wall_seconds",
-    "propagations_total", "propagations_vivify", "vivify_attempts",
-    "vivify_successes", "literals_removed", "clauses_learned",
-    "clauses_exported", "clauses_imported", "improvements_published",
-    "improvements_adopted", "restarts", "reductions", "conflicts",
-    "buffer_overflows", "vivify_prop_pct", "success_rate",
-]
-
-_INT_FIELDS = CSV_COLUMNS[5:19]
-
-
-def verify_model(formula, model):
-    """True iff the total assignment satisfies every clause."""
-    assert len(model) == formula.num_vars, "model must assign every variable"
-    return evaluate(formula, model)
+CSV_COLUMNS = ["instance", "mode", "workers", "status", "wall_seconds",
+               *COUNTERS, "vivify_prop_pct", "success_rate"]
 
 
 def gen_random_3sat(n, m, seed):
@@ -55,62 +42,24 @@ def gen_random_3sat(n, m, seed):
     return Formula(num_vars=n, clauses=tuple(clauses))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One CSV row: a (instance, mode) run with its aggregated counters.
-
-    Float fields are pre-rounded to their CSV precision so emitting and
-    re-parsing a record reproduces it exactly.
-    """
-
-    instance: str
-    mode: str
-    workers: int
-    status: str
-    wall_seconds: float
-    propagations_total: int
-    propagations_vivify: int
-    vivify_attempts: int
-    vivify_successes: int
-    literals_removed: int
-    clauses_learned: int
-    clauses_exported: int
-    clauses_imported: int
-    improvements_published: int
-    improvements_adopted: int
-    restarts: int
-    reductions: int
-    conflicts: int
-    buffer_overflows: int
-    vivify_prop_pct: float
-    success_rate: float
+RunRecord = make_dataclass(
+    "RunRecord",
+    [("instance", str), ("mode", str), ("workers", int), ("status", str),
+     ("wall_seconds", float), *((name, int) for name in COUNTERS),
+     ("vivify_prop_pct", float), ("success_rate", float)],
+    frozen=True,
+    namespace={"__doc__": "One CSV row: a (instance, mode) run with one field "
+                          "per `Stats` counter, summed over its workers.  Float "
+                          "fields are pre-rounded to their CSV precision, so "
+                          "emitting and re-parsing a record reproduces it."})
 
 
 def make_record(instance, mode_label, workers, status, wall_seconds, stats):
     """Build a RunRecord from aggregated Stats."""
     return RunRecord(
-        instance=instance,
-        mode=mode_label,
-        workers=workers,
-        status=status,
-        wall_seconds=float(f"{wall_seconds:.3f}"),
-        propagations_total=stats.propagations_total,
-        propagations_vivify=stats.propagations_vivify,
-        vivify_attempts=stats.vivify_attempts,
-        vivify_successes=stats.vivify_successes,
-        literals_removed=stats.literals_removed,
-        clauses_learned=stats.clauses_learned,
-        clauses_exported=stats.clauses_exported,
-        clauses_imported=stats.clauses_imported,
-        improvements_published=stats.improvements_published,
-        improvements_adopted=stats.improvements_adopted,
-        restarts=stats.restarts,
-        reductions=stats.reductions,
-        conflicts=stats.conflicts,
-        buffer_overflows=stats.buffer_overflows,
-        vivify_prop_pct=float(f"{stats.vivify_prop_pct:.2f}"),
-        success_rate=float(f"{stats.success_rate:.4f}"),
-    )
+        instance, mode_label, workers, status, float(f"{wall_seconds:.3f}"),
+        *(getattr(stats, name) for name in COUNTERS),
+        float(f"{stats.vivify_prop_pct:.2f}"), float(f"{stats.success_rate:.4f}"))
 
 
 def emit_csv(records, path):
@@ -123,7 +72,7 @@ def emit_csv(records, path):
             w.writerow([
                 r.instance, r.mode, r.workers, r.status,
                 f"{r.wall_seconds:.3f}",
-                *[getattr(r, name) for name in _INT_FIELDS],
+                *(getattr(r, name) for name in COUNTERS),
                 f"{r.vivify_prop_pct:.2f}",
                 f"{r.success_rate:.4f}",
             ])
@@ -137,15 +86,10 @@ def read_csv(path):
         assert reader.fieldnames == CSV_COLUMNS, "unexpected CSV schema"
         for row in reader:
             records.append(RunRecord(
-                instance=row["instance"],
-                mode=row["mode"],
-                workers=int(row["workers"]),
-                status=row["status"],
-                wall_seconds=float(row["wall_seconds"]),
-                **{name: int(row[name]) for name in _INT_FIELDS},
-                vivify_prop_pct=float(row["vivify_prop_pct"]),
-                success_rate=float(row["success_rate"]),
-            ))
+                row["instance"], row["mode"], int(row["workers"]), row["status"],
+                float(row["wall_seconds"]),
+                *(int(row[name]) for name in COUNTERS),
+                float(row["vivify_prop_pct"]), float(row["success_rate"])))
     return records
 
 

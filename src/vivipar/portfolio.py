@@ -67,7 +67,7 @@ class PortfolioConfig:
     vivify_budget: int = 1_000_000
     vivify_max_lbd: int = 5
     debug_checks: bool = False
-    recorder: object = None
+    recorder: object = None  # event sink, see Engine
 
     def validate(self):
         if self.num_workers < 1:
@@ -155,8 +155,7 @@ class _Worker:
         self._strategy = Strategy(
             config.lcm, self._engine, pool=pool,
             export_filter=ExportFilter(config.export_max_lbd, config.export_max_len),
-            policy=CandidatePolicy(max_lbd=config.vivify_max_lbd),
-            recorder=config.recorder)
+            policy=CandidatePolicy(max_lbd=config.vivify_max_lbd))
 
     @property
     def engine(self):
@@ -200,6 +199,10 @@ def run(formula, config):
             raise RuntimeError("winning model failed verification")
     for i, w in enumerate(workers):
         w.stats.buffer_overflows += pool.overflows[i]
+        if w._engine is not None:
+            # break the engine <-> strategy cycle: reference counting alone
+            # then frees the finished run
+            w._engine.hooks = None
     return PortfolioResult(status=status, model=model, winner=winner,
                            wall_seconds=wall,
                            worker_stats=[w.stats for w in workers])

@@ -54,10 +54,10 @@ class Stats:
         return True
 
 
+# the counter names in declaration order: the stats CSV's column schema
+COUNTERS = tuple(f.name for f in fields(Stats))
+
+
 def merge_stats(stats_list):
     """Sum a list of per-worker Stats into one aggregate."""
-    total = Stats()
-    for s in stats_list:
-        for f in fields(Stats):
-            setattr(total, f.name, getattr(total, f.name) + getattr(s, f.name))
-    return total
+    return Stats(*(sum(getattr(s, name) for s in stats_list) for name in COUNTERS))

@@ -59,14 +59,12 @@ def mode_from_label(label):
 class Strategy:
     """Per-worker minimization workflow, installed as the engine's hooks."""
 
-    def __init__(self, mode, engine, pool=None, export_filter=None,
-                 policy=None, recorder=None):
+    def __init__(self, mode, engine, pool=None, export_filter=None, policy=None):
         self.mode = mode
         self.engine = engine
         self.pool = pool
         self.filter = export_filter or exchange.ExportFilter()
         self.policy = policy or CandidatePolicy()
-        self.recorder = recorder
         self.reduce_pending = False
         self.ecm_withheld = deque()
         engine.hooks = self
@@ -79,15 +77,17 @@ class Strategy:
             # a unit cannot shrink; treat it as vacuously vivified so it is
             # shareable immediately even under ECM
             clause.vivify_attempted = True
-        if self.recorder is not None:
-            self.recorder.on_learn(self.engine.worker_id, clause)
+        recorder = self.engine.recorder
+        if recorder is not None:
+            recorder(("learn", self.engine.worker_id, clause.cid, clause.lbd,
+                      tuple(clause.lits)))
         mode = self.mode
         if (mode.kind == "ecm" and not clause.vivify_attempted
                 and clause.lbd <= mode.ecm_max_lbd):
             clause.protected = True
             self.ecm_withheld.append(clause)
-            if self.recorder is not None:
-                self.recorder.on_withhold(self.engine.worker_id, clause)
+            if recorder is not None:
+                recorder(("withhold", self.engine.worker_id, clause.cid))
             return
         self._export(clause)
 
@@ -121,7 +121,7 @@ class Strategy:
             return False
         return exchange.export(self.pool, self.engine.worker_id, clause,
                                self.filter, self.mode, lits=lits, lbd=lbd,
-                               stats=self.engine.stats, recorder=self.recorder)
+                               stats=self.engine.stats, recorder=self.engine.recorder)
 
     def _flush_withheld(self):
         """Vivify every withheld clause, export its final form, unprotect."""
@@ -135,15 +135,13 @@ class Strategy:
                 eng.remove_clause(c)
                 continue
             out = vivify_clause(eng, c)
-            if self.recorder is not None:
-                self.recorder.on_vivify(eng.worker_id, c, out)
             if out.success:
                 final_lits, final_lbd = out.new_lits, min(c.lbd, len(out.new_lits))
                 if out.new_lbd is not None:
                     final_lbd = min(final_lbd, out.new_lbd)
             else:
                 final_lits, final_lbd = tuple(c.lits), c.lbd
-            apply_outcome(eng, c, out, recorder=self.recorder)
+            apply_outcome(eng, c, out)
             self._export(c, lits=final_lits, lbd=max(1, final_lbd))
             if eng._terminal is not None:
                 return
@@ -162,14 +160,12 @@ class Strategy:
                 continue
             link = c.link
             out = vivify_clause(eng, c)
-            if self.recorder is not None:
-                self.recorder.on_vivify(eng.worker_id, c, out)
-            apply_outcome(eng, c, out, recorder=self.recorder)
+            apply_outcome(eng, c, out)
             if (self.mode.kind == "lpcm" and out.success and link is not None):
                 link.publish(out.new_lits)
                 eng.stats.improvements_published += 1
-                if self.recorder is not None:
-                    self.recorder.on_publish(eng.worker_id, out.new_lits)
+                if eng.recorder is not None:
+                    eng.recorder(("publish", eng.worker_id, out.new_lits))
             if eng._terminal is not None:
                 return
         if self.mode.kind == "lpcm":
@@ -192,8 +188,8 @@ class Strategy:
             if set(lits) == set(c.lits):
                 continue
             eng.stats.improvements_adopted += 1
-            if self.recorder is not None:
-                self.recorder.on_adopt(eng.worker_id, tuple(c.lits), lits)
+            if eng.recorder is not None:
+                eng.recorder(("adopt", eng.worker_id, tuple(c.lits), lits))
             eng.replace_clause(c, list(lits), min(c.lbd, len(lits)))
             if eng._terminal is not None:
                 return

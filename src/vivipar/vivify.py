@@ -80,7 +80,8 @@ def vivify_clause(engine, clause):
     Preconditions: no pending propagation, clause attached and not satisfied
     at level 0.  Marks the clause as attempted regardless of the result and
     aborts as Unchanged when the propagation budget runs out.  The database
-    is not modified here; pair with `apply_outcome`.
+    is not modified here; pair with `apply_outcome`.  Emits
+    ``("vivify", w, cid, kind)`` to the engine's recorder.
     """
     assert engine.decision_level == 0, "vivification runs at decision level 0 only"
     assert engine.qhead == len(engine.trail), "pending propagation before vivify"
@@ -137,16 +138,19 @@ def vivify_clause(engine, clause):
     new_lits = tuple(new) if new is not None else None
     if new_lits is not None:
         assert len(new_lits) < len(lits), "vivification must strictly shorten"
+    if engine.recorder is not None:
+        engine.recorder(("vivify", engine.worker_id, clause.cid, kind))
     return VivifyOutcome(kind, new_lits, props, lbd)
 
 
-def apply_outcome(engine, clause, outcome, recorder=None):
+def apply_outcome(engine, clause, outcome):
     """Fold a vivification outcome back into the database.
 
     Returns the surviving clause (the original for Unchanged, the
     replacement for a success) or None when the replacement dissolved:
     satisfied at level 0, shrunk to a level-0 unit, or refuted (engine goes
-    UNSAT).
+    UNSAT).  A success emits ``("replace", w, old lits, new lits)`` to the
+    engine's recorder.
     The replacement's LBD is recomputed conservatively, capped at the old
     value (its literals are unassigned at level 0, so the conflict-analysis
     LBD or the new length is the best available bound).
@@ -155,8 +159,9 @@ def apply_outcome(engine, clause, outcome, recorder=None):
         return clause
     engine.stats.vivify_successes += 1
     engine.stats.literals_removed += len(clause.lits) - len(outcome.new_lits)
-    if recorder is not None:
-        recorder.on_replace(engine.worker_id, tuple(clause.lits), outcome.new_lits)
+    if engine.recorder is not None:
+        engine.recorder(("replace", engine.worker_id, tuple(clause.lits),
+                         outcome.new_lits))
     new_lbd = min(clause.lbd, len(outcome.new_lits))
     if outcome.kind == CONFLICT_REPLACED and outcome.new_lbd is not None:
         new_lbd = min(new_lbd, outcome.new_lbd)

@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from vivipar.formula import Formula, normalize_clause
 
 
@@ -30,42 +28,7 @@ def php(pigeons, holes):
     return mk_formula(pigeons * holes, clauses)
 
 
-class EventLog:
-    """Duck-typed recorder collecting strategy/exchange/engine events in order."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_learn(self, worker, clause):
-        self.events.append(("learn", worker, clause.cid, clause.lbd,
-                            tuple(clause.lits)))
-
-    def on_withhold(self, worker, clause):
-        self.events.append(("withhold", worker, clause.cid))
-
-    def on_export(self, worker, clause, lits, lbd):
-        self.events.append(("export", worker, clause.cid, tuple(lits), lbd,
-                            clause.vivify_attempted))
-
-    def on_vivify(self, worker, clause, outcome):
-        self.events.append(("vivify", worker, clause.cid, outcome.kind))
-
-    def on_replace(self, worker, old_lits, new_lits):
-        self.events.append(("replace", worker, tuple(old_lits), tuple(new_lits)))
-
-    def on_reduce_remove(self, worker, clause):
-        self.events.append(("reduce_remove", worker, clause.cid, clause.protected))
-
-    def on_publish(self, worker, lits):
-        self.events.append(("publish", worker, tuple(lits)))
-
-    def on_adopt(self, worker, old_lits, new_lits):
-        self.events.append(("adopt", worker, tuple(old_lits), tuple(new_lits)))
-
-    def of_kind(self, kind):
-        return [e for e in self.events if e[0] == kind]
-
-
-@pytest.fixture
-def event_log():
-    return EventLog()
+def of_kind(events, kind):
+    """The events of one kind, in order, from a list used as the recorder
+    (``recorder=events.append``)."""
+    return [e for e in events if e[0] == kind]

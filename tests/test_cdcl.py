@@ -1,14 +1,14 @@
 import random
 
-from vivipar.cdcl import (SAT, UNSAT, UNKNOWN, Engine, EngineConfig,
-                          RestartPolicy, luby, should_restart)
+from vivipar.cdcl import (SAT, UNSAT, UNKNOWN, Engine, EngineConfig, luby,
+                          should_restart)
 from vivipar.exchange import SharedPool
 from vivipar.formula import Clause, Formula
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force, implied
 from vivipar.strategy import NONE, Strategy
 
-from conftest import EventLog, mk_formula, php
+from conftest import mk_formula, of_kind, php
 
 
 def engine_for(clauses, num_vars, **cfg):
@@ -74,11 +74,11 @@ def test_learned_clauses_implied_by_formula():
     # 200 random instances; every learned clause must be entailed by F
     for seed in range(200):
         f = gen_random_3sat(20, 85, seed)
-        log = EventLog()
-        eng = Engine(f, EngineConfig(debug_checks=True))
-        Strategy(NONE, eng, pool=None, recorder=log)
+        log = []
+        eng = Engine(f, EngineConfig(debug_checks=True), recorder=log.append)
+        Strategy(NONE, eng, pool=None)
         eng.solve(conflict_limit=150)
-        learns = log.of_kind("learn")
+        learns = of_kind(log, "learn")
         for _, _, _, _, lits in learns:
             assert implied(f.num_vars, f.clauses, lits), (seed, lits)
 
@@ -120,11 +120,11 @@ def test_minimize_self_subsuming_literal_removed():
 def test_minimized_clause_still_implied():
     for seed in range(40):
         f = gen_random_3sat(16, 68, seed + 500)
-        log = EventLog()
-        eng = Engine(f, EngineConfig(debug_checks=True))
-        Strategy(NONE, eng, pool=None, recorder=log)
+        log = []
+        eng = Engine(f, EngineConfig(debug_checks=True), recorder=log.append)
+        Strategy(NONE, eng, pool=None)
         eng.solve(conflict_limit=100)
-        for _, _, _, _, lits in log.of_kind("learn"):
+        for _, _, _, _, lits in of_kind(log, "learn"):
             assert implied(f.num_vars, f.clauses, lits)
 
 
@@ -185,22 +185,22 @@ def test_luby_sequence_prefix():
 
 def test_luby_restart_thresholds():
     # unit 100: thresholds 100,100,200,100,100,200,400,...
-    pol = RestartPolicy(kind="luby", luby_unit=100)
+    cfg = EngineConfig(restart_kind="luby", luby_unit=100)
     thresholds = [100, 100, 200, 100, 100, 200, 400, 100, 100]
     for idx, th in enumerate(thresholds, start=1):
-        assert should_restart(pol, [], 0.0, th, idx)
-        assert not should_restart(pol, [], 0.0, th - 1, idx)
+        assert should_restart(cfg, [], 0.0, th, idx)
+        assert not should_restart(cfg, [], 0.0, th - 1, idx)
 
 
 def test_dynamic_restart_window_mean_exceeds_k_times_global():
-    pol = RestartPolicy(kind="dynamic", window=50, k=0.8)
+    cfg = EngineConfig(restart_kind="dynamic", restart_window=50, restart_k=0.8)
     window = [10] * 50
-    assert should_restart(pol, window, 5.0, 10, 1)  # 10 > 0.8 * 5
+    assert should_restart(cfg, window, 5.0, 10, 1)  # 10 > 0.8 * 5
 
 
 def test_dynamic_restart_window_not_full():
-    pol = RestartPolicy(kind="dynamic", window=50, k=0.8)
-    assert not should_restart(pol, [10] * 49, 5.0, 10, 1)
+    cfg = EngineConfig(restart_kind="dynamic", restart_window=50, restart_k=0.8)
+    assert not should_restart(cfg, [10] * 49, 5.0, 10, 1)
 
 
 # ---------------------------------------------------------------- reduce
@@ -318,11 +318,17 @@ def test_oracle_equivalence_mini():
 
 
 def test_vsids_rescale_preserves_order():
-    eng = engine_for([[1, 2, 3]], 3)
-    eng.activity[1], eng.activity[2], eng.activity[3] = 3.0, 1.0, 2.0
-    eng.var_inc = 1e100
-    eng._bump_var(2)  # forces a rescale
-    assert eng.activity[2] > eng.activity[1] > eng.activity[3]
+    # conflict analysis bumps 2 past 1e100, which rescales every activity by
+    # 1e-100 before 1 is bumped; the unbumped 3 and 4 keep their order
+    eng = engine_for([[-1, 2], [-1, -2]], 4)
+    eng.activity[1:] = [3.0, 1.0, 2.0, 5.0]
+    eng.var_inc = 1e101
+    eng.assume(1)
+    eng.analyze_conflict(eng.propagate())
+    assert eng.var_inc == 1e101 * 1e-100
+    assert eng.activity[2] > eng.activity[4] > eng.activity[3] > 0.0
+    assert eng.activity[1] == 3e-100 + eng.var_inc
+    assert eng.activity[4] == 5e-100
 
 
 def test_lazy_import_one_watch_conflict_detection():

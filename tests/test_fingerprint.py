@@ -10,11 +10,14 @@ Every case runs 2 workers round-robin with a small conflict quantum, so both
 workers search, share clauses and (with an early first reduction) vivify.
 """
 
+import collections
 import dataclasses
+import hashlib
 
 import pytest
 
-from vivipar.harness import gen_random_3sat
+from vivipar.formula import to_dimacs
+from vivipar.harness import cli_main, gen_random_3sat
 from vivipar.portfolio import PortfolioConfig, run
 from vivipar.stats import Stats
 from vivipar.strategy import mode_from_label
@@ -165,3 +168,58 @@ def test_deterministic_fingerprint(case):
         got = (res.status, res.winner,
                tuple(dataclasses.astuple(s) for s in res.worker_stats))
         assert got == GOLDEN[case, mode], f"{case} {mode}"
+
+
+# The event stream of a deterministic PHP(6,5) run with 2 workers: the count
+# of each of the eight sharing and vivification event kinds, and the SHA-256
+# of the repr of those events in order.  Recorded before the stream also
+# carried the engine's decide/conflict/restart events, which are filtered out.
+SHARING_EVENTS = ("learn", "withhold", "export", "vivify", "replace",
+                  "reduce_remove", "publish", "adopt")
+GOLDEN_EVENTS = {
+    "lpcm": ({"adopt": 9, "export": 138, "learn": 180, "publish": 21,
+              "reduce_remove": 66, "replace": 22, "vivify": 51},
+             "7ffd7c8a75046d568310095025ba24725f79f0032bc52ebc0f834fe75e2efdbe"),
+    "ecm3": ({"export": 91, "learn": 194, "reduce_remove": 23, "replace": 18,
+              "vivify": 34, "withhold": 84},
+             "0f04c740fb28042f0b42de67cf06315d78fa48856e523c199fe5673a4ac410f6"),
+}
+
+
+@pytest.mark.parametrize("mode", list(GOLDEN_EVENTS))
+def test_event_stream_fingerprint(mode):
+    events = []
+    res = run(php(6, 5), PortfolioConfig(
+        num_workers=2, lcm=mode_from_label(mode), deterministic=True,
+        recorder=events.append, **SMALL))
+    sharing = [e for e in events if e[0] in SHARING_EVENTS]
+    counts, digest = GOLDEN_EVENTS[mode]
+    assert dict(collections.Counter(e[0] for e in sharing)) == counts
+    assert hashlib.sha256(repr(sharing).encode()).hexdigest() == digest
+    # the engine's own events agree with its counters
+    for w, ws in enumerate(res.worker_stats):
+        mine = collections.Counter(e[0] for e in events if e[1] == w)
+        assert mine["conflict"] == ws.conflicts
+        assert mine["restart"] == ws.restarts
+        assert mine["learn"] == ws.clauses_learned
+        assert mine["decide"] > 0
+
+
+# --stats-csv bytes of `vivipar php65.cnf --deterministic --threads 2 --lcm pcm`
+GOLDEN_CSV = (
+    b"instance,mode,workers,status,wall_seconds,propagations_total,"
+    b"propagations_vivify,vivify_attempts,vivify_successes,literals_removed,"
+    b"clauses_learned,clauses_exported,clauses_imported,improvements_published,"
+    b"improvements_adopted,restarts,reductions,conflicts,buffer_overflows,"
+    b"vivify_prop_pct,success_rate\r\n"
+    b"php65.cnf,pcm,2,UNSAT,0.000,1777,0,0,0,0,152,99,0,0,0,3,0,152,0,0.00,0.0000\r\n"
+)
+
+
+def test_stats_csv_fingerprint(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "php65.cnf").write_text(to_dimacs(php(6, 5)))
+    argv = ["php65.cnf", "--deterministic", "--threads", "2", "--lcm", "pcm",
+            "--stats-csv", "php65.csv"]
+    assert cli_main(argv) == 20
+    assert (tmp_path / "php65.csv").read_bytes() == GOLDEN_CSV

@@ -12,6 +12,8 @@ from vivipar.formula import (Clause, Formula, LiteralOutOfRange, MissingHeader,
                              to_dimacs)
 from vivipar.harness import gen_random_3sat
 
+from conftest import mk_formula
+
 
 def test_parse_basic():
     f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
@@ -40,6 +42,26 @@ def test_parse_missing_header():
 def test_parse_unterminated_clause():
     with pytest.raises(UnterminatedClause):
         parse_dimacs("p cnf 2 1\n1 2\n")
+
+
+@pytest.mark.parametrize("text, line, token", [
+    ("p cnf 10 1\n1_0 0\n", 2, "1_0"),             # int() reads this as 10
+    ("p cnf 3 1\n\u0663 -1 0\n", 2, "\u0663"),      # Arabic-Indic digit three
+    ("c x\np cnf 3 2\n1 0\n-2 \uff11 0\n", 4, "\uff11"),  # fullwidth digit one
+])
+def test_parse_rejects_non_dimacs_digits(text, line, token):
+    with pytest.raises(ParseError, match=f"<input>:{line}: bad token {token!r}"):
+        parse_dimacs(text)
+
+
+def test_parse_rejects_non_dimacs_header_counts():
+    with pytest.raises(MissingHeader):
+        parse_dimacs("p cnf 1_0 1\n1 0\n")
+
+
+def test_parse_accepts_plus_sign():
+    # MiniSat's reader accepts an explicit plus sign, so this parser does too
+    assert parse_dimacs("p cnf 3 1\n+1 -2 +3 0\n").clauses == ((1, -2, 3),)
 
 
 def test_parse_comments_multiline_and_satlib_percent():
@@ -266,6 +288,20 @@ def test_evaluate_edge_cases(clauses, contains_empty, model, expected):
     f = Formula(2, clauses, contains_empty=contains_empty)
     assert evaluate(f, model) is expected
     assert naive_evaluate(f, model) is expected
+
+
+def test_evaluate_true_literal():
+    assert evaluate(mk_formula(2, [[1, 2]]), [1, -2])
+
+
+def test_evaluate_contradiction_unsatisfiable():
+    f = mk_formula(1, [[1], [-1]])
+    assert not evaluate(f, [1])
+    assert not evaluate(f, [-1])
+
+
+def test_evaluate_empty_formula_vacuous():
+    assert evaluate(Formula(0, ()), [])
 
 
 def test_clause_meta_invariants():

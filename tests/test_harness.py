@@ -6,29 +6,11 @@ import pytest
 
 import vivipar
 from vivipar.cdcl import Engine
-from vivipar.formula import Formula, to_dimacs
+from vivipar.formula import Formula, evaluate, to_dimacs
 from vivipar.harness import (CSV_COLUMNS, cli_main, emit_csv, gen_random_3sat,
-                             make_record, read_csv, verify_model)
+                             make_record, read_csv)
 from vivipar.oracle import brute_force
 from vivipar.stats import Stats, merge_stats
-
-from conftest import mk_formula
-
-
-# ---------------------------------------------------------------- verify
-
-def test_verify_model_true_literal():
-    assert verify_model(mk_formula(2, [[1, 2]]), [1, -2])
-
-
-def test_verify_model_contradiction_unsatisfiable():
-    f = mk_formula(1, [[1], [-1]])
-    assert not verify_model(f, [1])
-    assert not verify_model(f, [-1])
-
-
-def test_verify_model_empty_formula_vacuous():
-    assert verify_model(Formula(0, ()), [])
 
 
 # ---------------------------------------------------------------- generator
@@ -120,7 +102,8 @@ def test_cli_sat_exit_10_model_printed(sat_file, capsys):
     vline = [l for l in out.splitlines() if l.startswith("v ")]
     lits = [int(x) for l in vline for x in l[2:].split()]
     assert lits[-1] == 0
-    assert verify_model(f, lits[:-1])
+    assert len(lits) - 1 == f.num_vars
+    assert evaluate(f, lits[:-1])
 
 
 def test_cli_zero_variable_sat_prints_v_0(tmp_path, capsys):

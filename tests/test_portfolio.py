@@ -1,3 +1,4 @@
+import gc
 import threading
 import time
 
@@ -243,3 +244,16 @@ def test_deterministic_mode_propagates_worker_exception(monkeypatch):
     monkeypatch.setattr(Engine, "decide", faulty_decide)
     with pytest.raises(RuntimeError, match="boom"):
         run(php(6, 5), PortfolioConfig(num_workers=2, deterministic=True))
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_finished_run_freed_by_reference_counting(deterministic):
+    # no reference cycle survives a run, so nothing is left for the cyclic GC
+    gc.collect()
+    gc.disable()
+    try:
+        run(php(6, 5), PortfolioConfig(num_workers=2, lcm=PCM, reduce_first=30,
+                                       deterministic=deterministic))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

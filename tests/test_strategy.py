@@ -4,7 +4,7 @@ from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.strategy import LPCM, NONE, PCM, Strategy, ecm, mode_from_label
 
-from conftest import EventLog, mk_formula
+from conftest import mk_formula, of_kind
 
 
 def wire(mode, f_clauses=(), num_vars=8, num_workers=2, worker=0, log=None,
@@ -12,8 +12,7 @@ def wire(mode, f_clauses=(), num_vars=8, num_workers=2, worker=0, log=None,
     pool = SharedPool(num_workers)
     eng = Engine(mk_formula(num_vars, list(f_clauses)), EngineConfig(**cfg),
                  pool=pool, worker_id=worker, recorder=log)
-    strat = Strategy(mode, eng, pool=pool, export_filter=filt or ExportFilter(),
-                     recorder=log)
+    strat = Strategy(mode, eng, pool=pool, export_filter=filt or ExportFilter())
     assert eng.propagate() is None
     return pool, eng, strat
 
@@ -75,8 +74,8 @@ def test_unit_lemma_is_exported_even_under_ecm():
 # ---------------------------------------------------------------- on_restart
 
 def test_ecm_flush_vivifies_and_exports_all():
-    log = EventLog()
-    pool, eng, strat = wire(ecm(3), num_vars=20, log=log)
+    log = []
+    pool, eng, strat = wire(ecm(3), num_vars=20, log=log.append)
     for i in range(5):
         base = 3 * i + 1
         c = learn_clause(eng, [base, base + 1, base + 2], lbd=2)
@@ -85,23 +84,23 @@ def test_ecm_flush_vivifies_and_exports_all():
     strat.on_restart()
     assert not strat.ecm_withheld
     assert eng.stats.vivify_attempts == 5
-    assert len(log.of_kind("export")) == 5
-    assert all(e[5] for e in log.of_kind("export"))  # attempted before export
+    assert len(of_kind(log, "export")) == 5
+    assert all(e[5] for e in of_kind(log, "export"))  # attempted before export
     assert pool.pending(1) == 5
     assert all(not c.protected for c in eng.learned_db)
 
 
 def test_ecm_flush_shortened_to_unit_enqueues_and_exports():
     # F forces a under -a: the withheld clause (a, c) collapses to (a)
-    log = EventLog()
+    log = []
     pool, eng, strat = wire(ecm(3), f_clauses=[[1, 2], [1, -2]], num_vars=3,
-                            log=log)
+                            log=log.append)
     c = learn_clause(eng, [1, 3], lbd=2)
     strat.on_learn(c)
     strat.on_restart()
     assert eng.value(1) == 1 and eng.level[1] == 0
     assert c.removed
-    exports = log.of_kind("export")
+    exports = of_kind(log, "export")
     assert [e[3] for e in exports] == [(1,)]
     assert pool.drain(1)[0].lits == (1,)
 
@@ -177,13 +176,15 @@ def test_pcm_reduce_at_level_zero_runs_vivify_pass():
 def test_lpcm_publish_and_importer_adoption():
     # directed two-worker scenario: A learns+exports, B imports, A vivifies
     # and publishes, B reduces and holds the improved clause
-    log = EventLog()
+    log = []
     pool = SharedPool(2)
     shared = [[-1, 2]]  # under -b, a is forced false: (b,c,a) -> (b,c)
-    eng_a = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=0)
-    a = Strategy(LPCM, eng_a, pool=pool, recorder=log)
-    eng_b = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=1)
-    b = Strategy(LPCM, eng_b, pool=pool, recorder=log)
+    eng_a = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=0,
+                   recorder=log.append)
+    a = Strategy(LPCM, eng_a, pool=pool)
+    eng_b = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=1,
+                   recorder=log.append)
+    b = Strategy(LPCM, eng_b, pool=pool)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -211,17 +212,18 @@ def test_lpcm_publish_and_importer_adoption():
 
 
 def test_pcm_isolation_no_links_ever():
-    log = EventLog()
+    log = []
     for seed in range(10):
         f = gen_random_3sat(20, 85, seed)
         pool = SharedPool(2)
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
-                                     restart_window=8), pool=pool, worker_id=0)
-        Strategy(PCM, eng, pool=pool, recorder=log)
+                                     restart_window=8), pool=pool, worker_id=0,
+                     recorder=log.append)
+        Strategy(PCM, eng, pool=pool)
         eng.solve(conflict_limit=300)
         for rec in pool.drain(1):
             assert rec.link is None
-    assert log.of_kind("publish") == []
+    assert of_kind(log, "publish") == []
 
 
 def test_adoption_skips_identical_publication():
@@ -244,18 +246,22 @@ def test_none_mode_matches_bare_engine_traces():
         f = gen_random_3sat(30, 128, seed + 40)
         cfg = dict(reduce_first=30, reduce_inc=10, restart_window=8)
 
-        bare = Engine(f, EngineConfig(**cfg))
-        bare.trace = []
+        bare_events = []
+        bare = Engine(f, EngineConfig(**cfg), recorder=bare_events.append)
         status_bare = bare.solve()
 
         pool = SharedPool(1)
-        wired = Engine(f, EngineConfig(**cfg), pool=pool, worker_id=0)
+        wired_events = []
+        wired = Engine(f, EngineConfig(**cfg), pool=pool, worker_id=0,
+                       recorder=wired_events.append)
         Strategy(NONE, wired, pool=pool)
-        wired.trace = []
         status_wired = wired.solve()
 
         assert status_bare == status_wired
-        assert bare.trace == wired.trace
+        search = ("decide", "conflict", "restart")
+        trace = [e for e in wired_events if e[0] in search]
+        assert trace  # the run decided and learned
+        assert [e for e in bare_events if e[0] in search] == trace
         assert bare.stats.conflicts == wired.stats.conflicts
         assert bare.stats.propagations_total == wired.stats.propagations_total
         assert bare.stats.restarts == wired.stats.restarts

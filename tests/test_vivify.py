@@ -11,7 +11,7 @@ from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             CandidatePolicy, VivifyOutcome, apply_outcome,
                             satisfied_at_root, select_candidates, vivify_clause)
 
-from conftest import EventLog, mk_formula
+from conftest import mk_formula, of_kind
 
 
 def engine_with_clause(f_clauses, num_vars, clause_lits, **cfg):
@@ -306,12 +306,12 @@ def test_strict_progress_and_soundness_random():
     total = successes = 0
     for seed in range(40):
         f = gen_random_3sat(22, 94, seed + 321)
-        log = EventLog()
+        log = []
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
-                                     restart_window=8), recorder=log)
-        Strategy(PCM, eng, pool=None, recorder=log)
+                                     restart_window=8), recorder=log.append)
+        Strategy(PCM, eng, pool=None)
         eng.solve(conflict_limit=400)
-        for _, _, old, new in log.of_kind("replace"):
+        for _, _, old, new in of_kind(log, "replace"):
             total += 1
             assert len(new) < len(old)
             assert implied(f.num_vars, list(f.clauses) + [old], new)
