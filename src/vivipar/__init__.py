@@ -2,7 +2,7 @@
 learned-clause minimization (PCM, LPCM, ECM)."""
 
 from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig, luby
-from .exchange import ExportFilter, LinkCell, SharedClause, SharedPool
+from .exchange import ExportFilter, SharedClause, SharedPool
 from .formula import Clause, Formula, ParseError, parse_dimacs, parse_dimacs_file, to_dimacs
 from .harness import RunRecord, cli_main, emit_csv, gen_random_3sat
 from .portfolio import (ConfigError, PortfolioConfig, PortfolioResult, WorkerFault,
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SAT", "UNSAT", "UNKNOWN", "Engine", "EngineConfig", "luby",
-    "ExportFilter", "LinkCell", "SharedClause", "SharedPool",
+    "ExportFilter", "SharedClause", "SharedPool",
     "Clause", "Formula", "ParseError", "parse_dimacs", "parse_dimacs_file", "to_dimacs",
     "RunRecord", "cli_main", "emit_csv", "gen_random_3sat",
     "ConfigError", "PortfolioConfig", "PortfolioResult", "WorkerFault", "diversify", "run",

@@ -784,7 +784,8 @@ class Engine:
             self._cid += 1
             lbd = max(1, min(rec.lbd, len(lits)))
             c = Clause(lits, lbd, True, True, self._cid)
-            c.link = rec.link
+            if rec.cid is not None:
+                c.link = (rec.origin, rec.cid)
             self.learned_db.append(c)
             # the watch policy keys on the exporter's claimed LBD
             if rec.lbd < IMPORT_TWO_WATCH_LBD:

@@ -1,12 +1,10 @@
-"""Cross-worker clause sharing: export filter, inbound buffers, link cells.
+"""Cross-worker clause sharing: export filter, inbound buffers, mailboxes.
 
 Exported clauses are copied into every other worker's inbound buffer as
-immutable records.  Under LPCM each record additionally carries a LinkCell:
-a write-once publication slot through which the learning worker can later
-share a strengthened version of the clause.  Readers poll it wait-free and
-observe either nothing or the complete improved literal sequence; the
-single reference assignment in `publish` is atomic under the GIL, and the
-published tuple is immutable, so no torn read is possible.
+immutable records.  Under LPCM a record also carries the origin's clause
+id; the origin's clause and each imported copy hold the key ``(origin,
+cid)``, under which the origin later publishes the strengthened literals
+once, and importers look it up in their mailboxes during their reductions.
 """
 
 from __future__ import annotations
@@ -20,25 +18,7 @@ DEFAULT_MAX_PENDING = 1 << 16
 
 
 class DoublePublish(Exception):
-    """A LinkCell was published twice; publications are at-most-once."""
-
-
-class LinkCell:
-    """Single-writer, many-reader improvement slot for one exported clause."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self):
-        self._value = None
-
-    def publish(self, lits):
-        if self._value is not None:
-            raise DoublePublish("improvement already published on this link")
-        self._value = tuple(lits)
-
-    def poll(self):
-        """The published literals, or None.  Non-blocking and idempotent."""
-        return self._value
+    """An improvement was published twice under one key; at most once."""
 
 
 @dataclass(frozen=True)
@@ -56,15 +36,15 @@ class SharedClause(NamedTuple):
     lits: tuple
     lbd: int
     origin: int
-    link: LinkCell | None = None
+    cid: int | None = None  # the origin's clause id, set under LPCM
 
 
 class SharedPool:
-    """Per-worker inbound buffers; bounded, drop-oldest on overflow.
+    """Per-worker inbound buffers and improvement mailboxes.
 
-    Producers append under a per-buffer lock and never block consumers for
-    long; each worker drains only its own buffer and never sees its own
-    exports.
+    Buffers are bounded, drop-oldest on overflow; producers append under a
+    per-buffer lock, and each worker drains only its own buffer and never
+    sees its own exports.  Mailboxes are looked up, never drained.
     """
 
     def __init__(self, num_workers, max_pending=DEFAULT_MAX_PENDING):
@@ -73,6 +53,7 @@ class SharedPool:
         self._buffers = [deque() for _ in range(num_workers)]
         self._locks = [threading.Lock() for _ in range(num_workers)]
         self.overflows = [0] * num_workers
+        self._mailboxes = [{} for _ in range(num_workers)]
 
     def broadcast(self, record):
         """Append a record to every buffer except the origin's."""
@@ -99,29 +80,45 @@ class SharedPool:
     def pending(self, worker):
         return len(self._buffers[worker])
 
+    def publish(self, key, lits):
+        """Store the improved literals of clause ``key = (origin, cid)`` in
+        every mailbox; the origin's copy only catches a second publish."""
+        lits = tuple(lits)
+        for w in range(self.num_workers):
+            with self._locks[w]:
+                box = self._mailboxes[w]
+                if key in box:
+                    raise DoublePublish(f"improvement of {key} already published")
+                box[key] = lits
+
+    def improvement(self, worker, key):
+        """The literals published under ``key``, or None.  Lock-free: one
+        dict store puts the key and its finished tuple in place."""
+        return self._mailboxes[worker].get(key)
+
 
 def export(pool, worker, clause, filt, mode, lits=None, lbd=None, stats=None,
            recorder=None):
     """Export a clause of ``worker`` through the filter.
 
     ``lits``/``lbd`` override the clause's current form (the ECM flush
-    exports the post-vivification form).  In LPCM mode a fresh LinkCell is
-    allocated and attached iff the exporting worker has not yet attempted to
-    vivify the clause (an already-vivified clause has nothing left to
-    publish); units cannot shrink, so they never carry a link.  ``stats``
-    and ``recorder`` are the exporting engine's.
+    exports the post-vivification form).  In LPCM mode a clause the worker
+    has not yet tried to vivify (else nothing is left to publish) gets the
+    link ``(worker, cid)`` and its cid goes in the record; units cannot
+    shrink, so they never carry a link.  ``stats`` and ``recorder`` are the
+    exporting engine's.
     Returns True when the record was exported.
     """
     lits = tuple(lits if lits is not None else clause.lits)
     lbd = lbd if lbd is not None else clause.lbd
     if not filt.passes(lits, lbd):
         return False
-    link = None
+    cid = None
     if (mode is not None and getattr(mode, "kind", None) == "lpcm"
             and not clause.vivify_attempted and len(lits) >= 2):
-        link = LinkCell()
-        clause.link = link
-    record = SharedClause(lits, lbd, worker, link)
+        cid = clause.cid
+        clause.link = (worker, cid)
+    record = SharedClause(lits, lbd, worker, cid)
     pool.broadcast(record)
     if stats is not None:
         stats.clauses_exported += 1

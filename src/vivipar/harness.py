@@ -152,20 +152,20 @@ def cli_main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    mode = mode_from_label(args.lcm if args.lcm != "ecm"
-                           else f"ecm{args.ecm_max_lbd}")
-    config = PortfolioConfig(
-        num_workers=args.threads,
-        lcm=mode,
-        seed=seed,
-        deterministic=args.deterministic,
-        time_limit=args.time_limit,
-        conflict_limit=args.conflict_limit,
-        export_max_lbd=args.export_max_lbd,
-    )
     try:
+        mode = mode_from_label(args.lcm if args.lcm != "ecm"
+                               else f"ecm{args.ecm_max_lbd}")
+        config = PortfolioConfig(
+            num_workers=args.threads,
+            lcm=mode,
+            seed=seed,
+            deterministic=args.deterministic,
+            time_limit=args.time_limit,
+            conflict_limit=args.conflict_limit,
+            export_max_lbd=args.export_max_lbd,
+        )
         config.validate()
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

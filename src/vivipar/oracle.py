@@ -29,6 +29,7 @@ _INNER = np.array([
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ZERO = np.uint64(0)
+_ONE = np.uint64(1)
 
 
 class TooLarge(Exception):
@@ -44,54 +45,83 @@ def _first_model(words, base, num_vars):
     return [v if (assignment >> (v - 1)) & 1 else -v for v in range(1, num_vars + 1)]
 
 
+def _clause_mask(clause, outer):
+    """Per word of ``outer``, the bits of the assignments satisfying ``clause``."""
+    mask = np.zeros(len(outer), dtype=np.uint64)
+    for lit in clause:
+        v = abs(lit)
+        if v <= _PACK_BITS:
+            pat = _INNER[v - 1] if lit > 0 else ~_INNER[v - 1]
+            mask |= pat
+        else:
+            on = (outer >> np.uint64(v - 1 - _PACK_BITS)) & _ONE
+            # on is 0 or 1; unsigned, 0 - on and on - 1 wrap to all-ones
+            # exactly where the literal is true
+            mask |= (_ZERO - on) if lit > 0 else (on - _ONE)
+    return mask
+
+
+def _alive(clauses, outer, num_vars):
+    """Per word of ``outer``, the bits of the assignments satisfying every
+    clause; stops early once no assignment is left."""
+    if num_vars >= _PACK_BITS:
+        init = _FULL
+    else:
+        init = np.uint64((1 << (1 << num_vars)) - 1)
+    alive = np.full(len(outer), init, dtype=np.uint64)
+    for clause in clauses:
+        alive &= _clause_mask(clause, outer)
+        if not alive.any():
+            break
+    return alive
+
+
+def _check_size(num_vars):
+    if num_vars > MAX_ORACLE_VARS:
+        raise TooLarge(f"{num_vars} variables exceeds oracle cap {MAX_ORACLE_VARS}")
+
+
 def satisfiable(num_vars, clauses, chunk_words=1 << 15):
     """Return a satisfying model (list of signed literals) or None.
 
     ``clauses`` is any iterable of literal sequences.  Exhaustive over all
     2^num_vars assignments.
     """
-    if num_vars > MAX_ORACLE_VARS:
-        raise TooLarge(f"{num_vars} variables exceeds oracle cap {MAX_ORACLE_VARS}")
+    _check_size(num_vars)
     clauses = [tuple(c) for c in clauses]
     if any(len(c) == 0 for c in clauses):
         return None
     num_vars = max(1, num_vars)
 
     n_outer = 1 << max(0, num_vars - _PACK_BITS)
-    if num_vars >= _PACK_BITS:
-        init = _FULL
-    else:
-        init = np.uint64((1 << (1 << num_vars)) - 1)
-
     for base in range(0, n_outer, chunk_words):
         count = min(chunk_words, n_outer - base)
         outer = np.arange(base, base + count, dtype=np.uint64)
-        alive = np.full(count, init, dtype=np.uint64)
-        for clause in clauses:
-            mask = np.zeros(count, dtype=np.uint64)
-            for lit in clause:
-                v = abs(lit)
-                if v <= _PACK_BITS:
-                    pat = _INNER[v - 1] if lit > 0 else ~_INNER[v - 1]
-                    mask |= pat
-                else:
-                    on = (outer >> np.uint64(v - 1 - _PACK_BITS)) & np.uint64(1)
-                    if lit > 0:
-                        mask |= np.where(on == 1, _FULL, _ZERO)
-                    else:
-                        mask |= np.where(on == 1, _ZERO, _FULL)
-            alive &= mask
-            if not alive.any():
-                break
-        else:
+        alive = _alive(clauses, outer, num_vars)
+        if alive.any():
             return _first_model(alive, base, num_vars)
     return None
 
 
+def models(num_vars, clauses):
+    """Every model of the clause set, packed as in `satisfiable`: bit i of
+    word k is set iff assignment ``(k << 6) | i`` is a model."""
+    _check_size(num_vars)
+    num_vars = max(1, num_vars)
+    outer = np.arange(1 << max(0, num_vars - _PACK_BITS), dtype=np.uint64)
+    return _alive([tuple(c) for c in clauses], outer, num_vars)
+
+
+def entails(model_words, target):
+    """True iff the clause set whose `models` are ``model_words`` entails
+    ``target``: no model falsifies it."""
+    outer = np.arange(len(model_words), dtype=np.uint64)
+    return not (model_words & ~_clause_mask(target, outer)).any()
+
+
 def brute_force(formula):
     """Exhaustively solve a Formula: returns ("SAT", model) or ("UNSAT", None)."""
-    if formula.num_vars > MAX_ORACLE_VARS:
-        raise TooLarge(f"{formula.num_vars} variables exceeds oracle cap {MAX_ORACLE_VARS}")
+    _check_size(formula.num_vars)
     if formula.contains_empty:
         return "UNSAT", None
     model = satisfiable(formula.num_vars, formula.clauses)

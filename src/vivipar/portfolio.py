@@ -32,7 +32,7 @@ class ConfigError(Exception):
 
 
 class WorkerFault(Exception):
-    """A worker thread raised; the run was stopped without an answer.
+    """A worker raised; the run was stopped without an answer.
 
     ``worker`` is the index of the first worker that failed; the original
     exception is chained as ``__cause__``.
@@ -74,7 +74,7 @@ class PortfolioConfig:
             raise ConfigError("num_workers must be >= 1")
         if self.lcm.kind == "ecm" and self.lcm.ecm_max_lbd < 1:
             raise ConfigError("ecm_max_lbd must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ConfigError("time_limit must be positive")
         if self.conflict_limit is not None and self.conflict_limit < 0:
             raise ConfigError("conflict_limit must be >= 0")
@@ -172,9 +172,9 @@ def run(formula, config):
     """Solve one formula with the configured portfolio.
 
     The first definitive answer wins; the rest are cancelled cooperatively.
-    A Sat model is verified against the formula before it is reported.  In
-    threaded mode an exception in any worker stops the others and raises
-    `WorkerFault`; deterministic mode lets it propagate unchanged.
+    A Sat model is verified against the formula before it is reported.  An
+    exception in any worker stops the others and raises `WorkerFault`, in
+    both modes.
     """
     config.validate()
     pool = SharedPool(config.num_workers)
@@ -216,17 +216,21 @@ def _run_round_robin(workers, config):
         for w in workers:
             if not active[w.index]:
                 continue
-            # .engine builds the worker at its first turn
-            status = w.engine.step(pause_after=config.quantum,
-                                   conflict_limit=config.conflict_limit)
+            if deadline is not None and time.monotonic() >= deadline:
+                return UNKNOWN, None  # no worker is built past the deadline
+            try:
+                # .engine builds the worker at its first turn
+                status = w.engine.step(pause_after=config.quantum,
+                                       deadline=deadline,
+                                       conflict_limit=config.conflict_limit)
+            except Exception as e:
+                raise WorkerFault(w.index, e) from e
             if status is None:
                 continue  # quantum used up; next worker's turn
             if status == UNKNOWN:
                 active[w.index] = False
                 continue
             return status, w.index
-        if deadline is not None and time.monotonic() >= deadline:
-            break
     return UNKNOWN, None
 
 

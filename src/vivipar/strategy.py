@@ -4,9 +4,9 @@
   database is reduced on schedule, nothing is vivified.
 * PCM: before each database reduction (deferred to decision level 0) the
   most promising own clauses are vivified; improvements stay private.
-* LPCM: PCM, plus exported clauses carry link cells; successful
-  vivifications are published through them and importers poll the links
-  during their own reductions, swapping in improvements.
+* LPCM: PCM, plus successful vivifications of exported clauses are
+  published to the pool under the key (origin, cid); importers look their
+  copies' keys up during their own reductions, swapping in improvements.
 * ECM: freshly learned clauses with LBD <= ecm_max_lbd are withheld from
   export and protected from reduction; at the next restart they are
   vivified, exported in final form, and unprotected.
@@ -150,19 +150,18 @@ class Strategy:
         """PCM/LPCM: vivify the candidate set, then reduce the database."""
         self.reduce_pending = False
         eng = self.engine
-        candidates = select_candidates(eng.learned_db, self.policy,
-                                       exclude_imported=True)
+        candidates = select_candidates(eng.learned_db, self.policy)
         for c in candidates:
             if c.removed:
                 continue
             if satisfied_at_root(eng, c):
                 eng.remove_clause(c)
                 continue
-            link = c.link
+            key = c.link
             out = vivify_clause(eng, c)
             apply_outcome(eng, c, out)
-            if (self.mode.kind == "lpcm" and out.success and link is not None):
-                link.publish(out.new_lits)
+            if self.mode.kind == "lpcm" and out.success and key is not None:
+                self.pool.publish(key, out.new_lits)
                 eng.stats.improvements_published += 1
                 if eng.recorder is not None:
                     eng.recorder(("publish", eng.worker_id, out.new_lits))
@@ -175,13 +174,13 @@ class Strategy:
         eng.reduce_db()
 
     def _adopt_improvements(self):
-        """Poll the links of imported clauses and swap in published
+        """Look up the keys of imported clauses and swap in published
         improvements before reduction scoring."""
         eng = self.engine
         for c in list(eng.learned_db):
             if c.removed or not c.imported or c.link is None:
                 continue
-            lits = c.link.poll()
+            lits = self.pool.improvement(eng.worker_id, c.link)
             if lits is None:
                 continue
             c.link = None  # publications are at-most-once; nothing more comes

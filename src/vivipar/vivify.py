@@ -52,18 +52,17 @@ class CandidatePolicy:
     max_lbd: int = 5
 
 
-def select_candidates(db, policy, exclude_imported=True):
+def select_candidates(db, policy):
     """Rank the learned database by (LBD ascending, activity descending),
-    keep the lowest half, then filter by the policy caps."""
+    keep the lowest half, then filter by the policy caps.  Imported clauses
+    are left out: only the worker that learned a clause vivifies it."""
     live = [c for c in db if c.learned and not c.removed]
     live.sort(key=lambda c: (c.lbd, -c.activity))
     out = []
     for c in live[:len(live) // 2]:
         if c.lbd > policy.max_lbd:
             continue
-        if c.vivify_attempted:
-            continue
-        if exclude_imported and c.imported:
+        if c.vivify_attempted or c.imported:
             continue
         out.append(c)
     return out

@@ -16,7 +16,7 @@ from statistics import mean
 import pytest
 
 from vivipar.cdcl import SAT, UNSAT, Engine, EngineConfig
-from vivipar.exchange import LinkCell, SharedPool
+from vivipar.exchange import DoublePublish, SharedPool
 from vivipar.formula import Clause, evaluate, to_dimacs
 from vivipar.harness import cli_main, gen_random_3sat
 from vivipar.oracle import brute_force, implied
@@ -179,7 +179,7 @@ def test_pcm_isolation_no_publications(instrumented_results, capsys):
     # strategy-module invariant checked on the same instrumented corpus
     assert sum(r[4] for r in instrumented_results) == 0
     announce(capsys, "\nACCEPTANCE extra, PCM isolation: PASS "
-                     "(no published links under pcm)")
+                     "(no published improvements under pcm)")
 
 
 # -------------------------------------------------------------- criterion 5
@@ -223,7 +223,10 @@ def test_criterion_5_lpcm_protocol_directed(capsys):
 
 
 def test_criterion_5_link_stress_no_torn_reads(capsys):
-    cells = [LinkCell() for _ in range(500)]
+    # worker 0 publishes improvements of its 500 shared clauses while
+    # workers 1-8 look every key up in their own mailboxes
+    pool = SharedPool(9)
+    keys = [(0, cid) for cid in range(500)]
     payloads = []
     rng = random.Random(99)
     for i in range(500):
@@ -236,8 +239,8 @@ def test_criterion_5_link_stress_no_torn_reads(capsys):
 
     def reader(k):
         while not done.is_set() or ops[k] < 15_000:
-            for cell in cells:
-                got = cell.poll()
+            for key in keys:
+                got = pool.improvement(k + 1, key)
                 ops[k] += 1
                 if got is not None and sum(got[:-1]) != -got[-1]:
                     torn.append(got)
@@ -246,17 +249,22 @@ def test_criterion_5_link_stress_no_torn_reads(capsys):
     threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
     for t in threads:
         t.start()
-    for cell, payload in zip(cells, payloads):
-        cell.publish(payload)
+    for key, payload in zip(keys, payloads):
+        pool.publish(key, payload)
     done.set()
     for t in threads:
         t.join()
     total_ops = sum(ops)
     assert not torn
     assert total_ops >= 100_000
-    assert all(cell.poll() == p for cell, p in zip(cells, payloads))
-    announce(capsys, f"\nACCEPTANCE 5b LinkCell stress: PASS "
-          f"(1 writer / 8 readers, {total_ops} polls, 0 torn reads)")
+    assert all(pool.improvement(w, key) == p
+               for key, p in zip(keys, payloads) for w in range(1, 9))
+    for key in keys:  # each key is published at most once
+        with pytest.raises(DoublePublish):
+            pool.publish(key, (1,))
+    assert all(pool.improvement(1, key) == p for key, p in zip(keys, payloads))
+    announce(capsys, f"\nACCEPTANCE 5b improvement mailbox stress: PASS "
+          f"(1 writer / 8 readers, {total_ops} lookups, 0 torn reads)")
 
 
 # -------------------------------------------------------------- criterion 6

@@ -1,9 +1,10 @@
+import sys
 import threading
 
 import pytest
 
-from vivipar.exchange import (DoublePublish, ExportFilter, LinkCell,
-                              SharedClause, SharedPool, export)
+from vivipar.exchange import (DoublePublish, ExportFilter, SharedClause,
+                              SharedPool, export)
 from vivipar.formula import Clause
 from vivipar.strategy import LPCM, PCM
 
@@ -37,20 +38,21 @@ def test_lpcm_attaches_link_pcm_does_not():
     c = mk_clause([1, 2, 3], lbd=2)
     export(pool, 0, c, ExportFilter(), LPCM)
     rec = pool.drain(1)[0]
-    assert isinstance(rec.link, LinkCell)
-    assert c.link is rec.link
+    assert rec.cid == c.cid
+    assert c.link == (rec.origin, rec.cid) == (0, 1)
 
     c2 = mk_clause([1, 2, 3], lbd=2)
     export(pool, 0, c2, ExportFilter(), PCM)
     rec2 = pool.drain(1)[0]
-    assert rec2.link is None and c2.link is None
+    assert rec2.cid is None and c2.link is None
 
 
 def test_lpcm_no_link_when_already_vivified():
     pool = SharedPool(2)
     c = mk_clause([1, 2, 3], lbd=2, attempted=True)
     export(pool, 0, c, ExportFilter(), LPCM)
-    assert pool.drain(1)[0].link is None
+    assert pool.drain(1)[0].cid is None
+    assert c.link is None
 
 
 def test_import_empty_buffer():
@@ -96,26 +98,33 @@ def test_duplicate_clauses_from_different_origins_both_kept():
 
 
 def test_publish_poll_roundtrip():
-    link = LinkCell()
-    assert link.poll() is None
-    link.publish((1, 2))
-    assert link.poll() == (1, 2)
-    assert link.poll() == (1, 2)  # idempotent
+    pool = SharedPool(3)
+    key = (0, 7)
+    assert pool.improvement(1, key) is None
+    pool.publish(key, [1, 2])
+    assert pool.improvement(1, key) == (1, 2)
+    assert pool.improvement(1, key) == (1, 2)  # idempotent
+    assert pool.improvement(2, key) == (1, 2)
+    assert pool.improvement(1, (0, 8)) is None
+    assert pool.improvement(1, (2, 7)) is None  # keys name the origin
 
 
 def test_double_publish_raises():
-    link = LinkCell()
-    link.publish((1,))
-    with pytest.raises(DoublePublish):
-        link.publish((2,))
+    for workers in (1, 2):
+        pool = SharedPool(workers)
+        pool.publish((0, 1), (1,))
+        with pytest.raises(DoublePublish):
+            pool.publish((0, 1), (2,))
+        assert pool.improvement(workers - 1, (0, 1)) == (1,)
 
 
 def test_link_stress_no_torn_reads():
-    # 1 writer, 8 readers, >= 1e5 poll operations; a poll sees Empty or the
+    # 1 writer, 8 readers, >= 1e5 lookups; a lookup sees None or the
     # complete clause (checksum literal must match)
-    cells = [LinkCell() for _ in range(400)]
+    pool = SharedPool(9)
+    keys = [(0, cid) for cid in range(400)]
     payloads = []
-    for i, _ in enumerate(cells):
+    for i, _ in enumerate(keys):
         lits = tuple(range(1, (i % 9) + 2))
         payloads.append(lits + (-sum(lits),))
     errors = []
@@ -124,22 +133,28 @@ def test_link_stress_no_torn_reads():
 
     def reader(k):
         while not done.is_set() or ops[k] < 15000:
-            for cell in cells:
-                got = cell.poll()
+            for key in keys:
+                got = pool.improvement(k + 1, key)
                 ops[k] += 1
                 if got is not None and sum(got[:-1]) != -got[-1]:
                     errors.append(got)
                     return
 
     threads = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
-    for t in threads:
-        t.start()
-    for cell, payload in zip(cells, payloads):
-        cell.publish(payload)
-    done.set()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more thread switches per publish
+    try:
+        for t in threads:
+            t.start()
+        for key, payload in zip(keys, payloads):
+            pool.publish(key, payload)
+        done.set()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
     assert sum(ops) >= 100_000
-    for cell, payload in zip(cells, payloads):
-        assert cell.poll() == payload
+    for key, payload in zip(keys, payloads):
+        assert all(pool.improvement(w, key) == payload for w in range(1, 9))

@@ -153,6 +153,32 @@ def test_cli_worker_fault_exit_3(unsat_file, capsys, monkeypatch):
                       ["c worker 1 failed: RuntimeError: boom"])
 
 
+def test_cli_deterministic_worker_fault_exit_3(unsat_file, capsys, monkeypatch):
+    def faulty_decide(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Engine, "decide", faulty_decide)
+    assert cli_main([unsat_file, "--deterministic", "--threads", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "RuntimeError: boom" in captured.err
+    lines = captured.out.splitlines()
+    assert not [l for l in lines if l.startswith("s ")]
+    assert [l for l in lines if l.startswith("c worker ")] == [
+        "c worker 0 failed: RuntimeError: boom"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--lcm=ecm", "--ecm-max-lbd", "0"], "ecm_max_lbd must be >= 1"),
+    (["--time-limit", "nan"], "time_limit must be positive"),
+    (["--time-limit", "0"], "time_limit must be positive"),
+], ids=["ecm-max-lbd-0", "time-limit-nan", "time-limit-0"])
+def test_cli_bad_option_value_exit_1(unsat_file, capsys, args, message):
+    assert cli_main([unsat_file, "--deterministic", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not captured.out
+
+
 def test_cli_usage_error_exit_1(capsys):
     assert cli_main(["--lcm=bogus"]) == 1
 

@@ -5,7 +5,8 @@ import pytest
 
 from vivipar.formula import Formula, evaluate
 from vivipar.harness import gen_random_3sat
-from vivipar.oracle import TooLarge, brute_force, implied, satisfiable
+from vivipar.oracle import (TooLarge, brute_force, entails, implied, models,
+                            satisfiable)
 
 from conftest import mk_formula, php
 
@@ -92,3 +93,20 @@ def test_chunking_boundaries():
         model = satisfiable(n, clauses, chunk_words=1)
         assert model == list(range(1, n + 1))
         assert satisfiable(n, clauses + [(-1,)], chunk_words=1) is None
+
+
+def test_entails_over_models_agrees_with_implied():
+    # one enumeration of F's models answers every F |= C question
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        clauses = [tuple(rng.choice((-1, 1)) * v
+                         for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+                   for _ in range(rng.randint(0, 3 * n))]
+        words = models(n, clauses)
+        for _ in range(5):
+            target = tuple(rng.choice((-1, 1)) * v
+                           for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+            assert entails(words, target) == implied(n, clauses, target)
+    assert not models(3, [(1,), (-1,)]).any()  # UNSAT: entails everything
+    assert entails(models(3, [(1,), (-1,)]), (2,))

@@ -88,6 +88,8 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(time_limit=-1))
     with pytest.raises(ConfigError):
+        run(f, PortfolioConfig(time_limit=float("nan")))
+    with pytest.raises(ConfigError):
         run(f, PortfolioConfig(quantum=0))
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(lcm=LcmMode("ecm", 0)))
@@ -114,6 +116,19 @@ def test_budget_exhaustion_returns_unknown():
                                  conflict_limit=30))
     assert res.status == UNKNOWN
     assert res.winner is None
+
+
+def test_deterministic_time_limit_ends_a_turn():
+    # one turn would take the whole conflict budget; the deadline must end
+    # it long before that
+    t0 = time.monotonic()
+    res = run(php(9, 8), PortfolioConfig(num_workers=2, deterministic=True,
+                                         time_limit=0.3, quantum=10**9,
+                                         conflict_limit=5000))
+    elapsed = time.monotonic() - t0
+    assert res.status == UNKNOWN
+    assert all(ws.conflicts < 5000 for ws in res.worker_stats)
+    assert elapsed < 3
 
 
 def test_time_limit_cancels_quickly():
@@ -238,12 +253,16 @@ def test_worker_fault_in_every_thread_fails_the_run(monkeypatch):
 
 
 def test_deterministic_mode_propagates_worker_exception(monkeypatch):
+    # the same contract as threaded mode: WorkerFault, the error as cause
     def faulty_decide(self):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(Engine, "decide", faulty_decide)
-    with pytest.raises(RuntimeError, match="boom"):
+    with pytest.raises(WorkerFault) as info:
         run(php(6, 5), PortfolioConfig(num_workers=2, deterministic=True))
+    assert info.value.worker == 0
+    assert str(info.value) == "worker 0 failed: RuntimeError: boom"
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 @pytest.mark.parametrize("deterministic", [True, False])

@@ -58,7 +58,7 @@ def test_pcm_exports_immediately_without_link():
     c = learn_clause(eng, [1, 2, 3], lbd=3)
     strat.on_learn(c)
     rec = pool.drain(1)[0]
-    assert rec.lits == (1, 2, 3) and rec.link is None
+    assert rec.lits == (1, 2, 3) and rec.cid is None
     assert c.link is None
 
 
@@ -190,20 +190,20 @@ def test_lpcm_publish_and_importer_adoption():
 
     c = learn_clause(eng_a, [2, 3, 1], lbd=2)
     a.on_learn(c)  # exported with a link
-    assert c.link is not None
+    assert c.link == (0, c.cid)
     # filler keeps c inside the lowest-LBD half of A's database
     learn_clause(eng_a, [-2, -3, -1], lbd=3)
 
     assert eng_b._integrate_imports() == 1
     copy = [x for x in eng_b.learned_db if x.imported][0]
     assert set(copy.lits) == {2, 3, 1}
-    assert copy.link is c.link
+    assert copy.link == c.link
 
     a.before_reduce()  # level 0: vivify pass publishes (2, 3)
     assert eng_a.stats.improvements_published == 1
-    assert c.link.poll() == (2, 3)
+    assert pool.improvement(1, c.link) == (2, 3)
 
-    b.before_reduce()  # importer polls during reduction and swaps
+    b.before_reduce()  # importer looks its key up during reduction and swaps
     assert eng_b.stats.improvements_adopted == 1
     live = [x for x in eng_b.learned_db if not x.removed and x.imported]
     assert [set(x.lits) for x in live] == [{2, 3}]
@@ -222,7 +222,7 @@ def test_pcm_isolation_no_links_ever():
         Strategy(PCM, eng, pool=pool)
         eng.solve(conflict_limit=300)
         for rec in pool.drain(1):
-            assert rec.link is None
+            assert rec.cid is None
     assert of_kind(log, "publish") == []
 
 
@@ -230,9 +230,8 @@ def test_adoption_skips_identical_publication():
     pool, eng, strat = wire(LPCM, num_vars=6)
     c = learn_clause(eng, [1, 2, 3], lbd=2)
     c.imported = True
-    from vivipar.exchange import LinkCell
-    c.link = LinkCell()
-    c.link.publish((3, 1, 2))  # same literal set, different order
+    c.link = (1, 5)  # worker 1's clause 5
+    pool.publish(c.link, (3, 1, 2))  # same literal set, different order
     strat._adopt_improvements()
     assert eng.stats.improvements_adopted == 0
     assert not c.removed

@@ -206,7 +206,8 @@ def test_select_skips_imported():
     db[2].imported = True
     got = select_candidates(db, CandidatePolicy())
     assert sorted(c.lbd for c in got) == [2, 5]
-    got = select_candidates(db, CandidatePolicy(), exclude_imported=False)
+    db[2].imported = False
+    got = select_candidates(db, CandidatePolicy())
     assert sorted(c.lbd for c in got) == [2, 3, 5]
 
 
