@@ -2,24 +2,24 @@
 learned-clause minimization (PCM, LPCM, ECM)."""
 
 from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig, luby
-from .exchange import ExportFilter, SharedClause, SharedPool
+from .exchange import SharedClause, SharedPool
 from .formula import Clause, Formula, ParseError, parse_dimacs, parse_dimacs_file, to_dimacs
 from .harness import RunRecord, cli_main, emit_csv, gen_random_3sat
 from .portfolio import (ConfigError, PortfolioConfig, PortfolioResult, WorkerFault,
                         diversify, run)
 from .stats import Stats, merge_stats
 from .strategy import LPCM, NONE, PCM, LcmMode, Strategy, ecm, mode_from_label
-from .vivify import CandidatePolicy, VivifyOutcome, select_candidates, vivify_clause
+from .vivify import VivifyOutcome, select_candidates, vivify_clause
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SAT", "UNSAT", "UNKNOWN", "Engine", "EngineConfig", "luby",
-    "ExportFilter", "SharedClause", "SharedPool",
+    "SharedClause", "SharedPool",
     "Clause", "Formula", "ParseError", "parse_dimacs", "parse_dimacs_file", "to_dimacs",
     "RunRecord", "cli_main", "emit_csv", "gen_random_3sat",
     "ConfigError", "PortfolioConfig", "PortfolioResult", "WorkerFault", "diversify", "run",
     "Stats", "merge_stats",
     "LPCM", "NONE", "PCM", "LcmMode", "Strategy", "ecm", "mode_from_label",
-    "CandidatePolicy", "VivifyOutcome", "select_candidates", "vivify_clause",
+    "VivifyOutcome", "select_candidates", "vivify_clause",
 ]

@@ -28,6 +28,11 @@ UNKNOWN = "UNKNOWN"
 # weaker ones go on the one-watch standby.
 IMPORT_TWO_WATCH_LBD = 4
 
+# A dynamic restart fires when the recent LBD mean exceeds RESTART_K times
+# the global mean; clause activity decays by CLAUSE_DECAY per conflict.
+RESTART_K = 0.8
+CLAUSE_DECAY = 0.999
+
 
 def luby(i):
     """i-th element (1-indexed) of the Luby sequence 1,1,2,1,1,2,4,..."""
@@ -43,10 +48,8 @@ def luby(i):
 class EngineConfig:
     restart_kind: str = "dynamic"  # "dynamic" or "luby"
     restart_window: int = 50
-    restart_k: float = 0.8
     luby_unit: int = 100
     var_decay: float = 0.95
-    clause_decay: float = 0.999
     phase_init: bool = False
     reduce_first: int = 2000
     reduce_inc: int = 300
@@ -59,7 +62,7 @@ def should_restart(cfg, recent_lbds, global_lbd_mean, conflicts_since_restart,
     """Restart decision under the restart fields of an EngineConfig.
 
     Dynamic mode fires when the sliding window of ``restart_window`` LBDs is
-    full and its mean exceeds ``restart_k`` times the global mean.  Luby mode
+    full and its mean exceeds `RESTART_K` times the global mean.  Luby mode
     fires when the conflicts since the last restart reach
     ``luby_unit * luby(restart_index)``.
     """
@@ -68,7 +71,7 @@ def should_restart(cfg, recent_lbds, global_lbd_mean, conflicts_since_restart,
     if len(recent_lbds) < cfg.restart_window:
         return False
     window_mean = sum(recent_lbds) / len(recent_lbds)
-    return window_mean > cfg.restart_k * global_lbd_mean
+    return window_mean > RESTART_K * global_lbd_mean
 
 
 class Engine:
@@ -633,7 +636,7 @@ class Engine:
 
     def _decay(self):
         self.var_inc /= self.cfg.var_decay
-        self.cla_inc /= self.cfg.clause_decay
+        self.cla_inc /= CLAUSE_DECAY
 
     def decide(self):
         """Pick the unassigned variable of maximal activity (ties: lowest

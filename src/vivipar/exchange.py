@@ -1,34 +1,25 @@
-"""Cross-worker clause sharing: export filter, inbound buffers, mailboxes.
+"""Cross-worker clause sharing: export filter, inbound buffers, improvements.
 
 Exported clauses are copied into every other worker's inbound buffer as
 immutable records.  Under LPCM a record also carries the origin's clause
 id; the origin's clause and each imported copy hold the key ``(origin,
 cid)``, under which the origin later publishes the strengthened literals
-once, and importers look it up in their mailboxes during their reductions.
+once, and importers look it up in the pool during their reductions.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 DEFAULT_MAX_PENDING = 1 << 16
+# Longer clauses are never exported, whatever their LBD.
+EXPORT_MAX_LEN = 30
 
 
 class DoublePublish(Exception):
     """An improvement was published twice under one key; at most once."""
-
-
-@dataclass(frozen=True)
-class ExportFilter:
-    """A clause is exported iff lbd <= max_lbd and len <= max_len."""
-    max_lbd: int = 4
-    max_len: int = 30
-
-    def passes(self, lits, lbd):
-        return lbd <= self.max_lbd and len(lits) <= self.max_len
 
 
 class SharedClause(NamedTuple):
@@ -40,11 +31,13 @@ class SharedClause(NamedTuple):
 
 
 class SharedPool:
-    """Per-worker inbound buffers and improvement mailboxes.
+    """Per-worker inbound buffers and one dict of published improvements.
 
     Buffers are bounded, drop-oldest on overflow; producers append under a
     per-buffer lock, and each worker drains only its own buffer and never
-    sees its own exports.  Mailboxes are looked up, never drained.
+    sees its own exports.  Improvements are looked up, never drained: one
+    must stay readable until every importer of its clause has looked its key
+    up, so the dict never shrinks during a run.
     """
 
     def __init__(self, num_workers, max_pending=DEFAULT_MAX_PENDING):
@@ -53,7 +46,8 @@ class SharedPool:
         self._buffers = [deque() for _ in range(num_workers)]
         self._locks = [threading.Lock() for _ in range(num_workers)]
         self.overflows = [0] * num_workers
-        self._mailboxes = [{} for _ in range(num_workers)]
+        self._improvements = {}
+        self._publish_lock = threading.Lock()
 
     def broadcast(self, record):
         """Append a record to every buffer except the origin's."""
@@ -81,25 +75,24 @@ class SharedPool:
         return len(self._buffers[worker])
 
     def publish(self, key, lits):
-        """Store the improved literals of clause ``key = (origin, cid)`` in
-        every mailbox; the origin's copy only catches a second publish."""
+        """Store the improved literals of clause ``key = (origin, cid)``,
+        at most once per key."""
         lits = tuple(lits)
-        for w in range(self.num_workers):
-            with self._locks[w]:
-                box = self._mailboxes[w]
-                if key in box:
-                    raise DoublePublish(f"improvement of {key} already published")
-                box[key] = lits
+        with self._publish_lock:
+            if key in self._improvements:
+                raise DoublePublish(f"improvement of {key} already published")
+            self._improvements[key] = lits
 
-    def improvement(self, worker, key):
+    def improvement(self, key):
         """The literals published under ``key``, or None.  Lock-free: one
         dict store puts the key and its finished tuple in place."""
-        return self._mailboxes[worker].get(key)
+        return self._improvements.get(key)
 
 
-def export(pool, worker, clause, filt, mode, lits=None, lbd=None, stats=None,
+def export(pool, worker, clause, max_lbd, mode, lits=None, lbd=None, stats=None,
            recorder=None):
-    """Export a clause of ``worker`` through the filter.
+    """Export a clause of ``worker`` if ``lbd <= max_lbd`` and it has at
+    most `EXPORT_MAX_LEN` literals.
 
     ``lits``/``lbd`` override the clause's current form (the ECM flush
     exports the post-vivification form).  In LPCM mode a clause the worker
@@ -111,11 +104,10 @@ def export(pool, worker, clause, filt, mode, lits=None, lbd=None, stats=None,
     """
     lits = tuple(lits if lits is not None else clause.lits)
     lbd = lbd if lbd is not None else clause.lbd
-    if not filt.passes(lits, lbd):
+    if lbd > max_lbd or len(lits) > EXPORT_MAX_LEN:
         return False
     cid = None
-    if (mode is not None and getattr(mode, "kind", None) == "lpcm"
-            and not clause.vivify_attempted and len(lits) >= 2):
+    if mode.kind == "lpcm" and not clause.vivify_attempted and len(lits) >= 2:
         cid = clause.cid
         clause.link = (worker, cid)
     record = SharedClause(lits, lbd, worker, cid)

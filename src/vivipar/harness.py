@@ -20,7 +20,7 @@ from .cdcl import SAT, UNSAT
 from .formula import Formula, ParseError, normalize_clause, parse_dimacs_file
 from .portfolio import ConfigError, PortfolioConfig, WorkerFault
 from .stats import COUNTERS
-from .strategy import mode_from_label
+from .strategy import LcmMode
 
 SEED_ENV_VAR = "VIVIPAR_SEED"
 DEFAULT_TIME_LIMIT = 60.0
@@ -152,20 +152,20 @@ def cli_main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
+    # --ecm-max-lbd is checked under every --lcm, not only where it is used
+    mode = LcmMode(args.lcm, args.ecm_max_lbd)
+    config = PortfolioConfig(
+        num_workers=args.threads,
+        lcm=mode,
+        seed=seed,
+        deterministic=args.deterministic,
+        time_limit=args.time_limit,
+        conflict_limit=args.conflict_limit,
+        export_max_lbd=args.export_max_lbd,
+    )
     try:
-        mode = mode_from_label(args.lcm if args.lcm != "ecm"
-                               else f"ecm{args.ecm_max_lbd}")
-        config = PortfolioConfig(
-            num_workers=args.threads,
-            lcm=mode,
-            seed=seed,
-            deterministic=args.deterministic,
-            time_limit=args.time_limit,
-            conflict_limit=args.conflict_limit,
-            export_max_lbd=args.export_max_lbd,
-        )
         config.validate()
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,11 +18,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
-from .exchange import ExportFilter, SharedPool
+from .exchange import SharedPool
 from .formula import evaluate
 from .stats import Stats, merge_stats
 from .strategy import LcmMode, NONE, Strategy
-from .vivify import CandidatePolicy
 
 MAX_DEFAULT_WORKERS = 34
 
@@ -56,23 +55,17 @@ class PortfolioConfig:
     time_limit: float | None = None
     conflict_limit: int | None = None
     export_max_lbd: int = 4
-    export_max_len: int = 30
     quantum: int = 512  # conflicts per worker turn in deterministic mode
-    var_decay: float = 0.95
     reduce_first: int = 2000
     reduce_inc: int = 300
     restart_window: int = 50
-    restart_k: float = 0.8
     luby_unit: int = 100
-    vivify_budget: int = 1_000_000
-    vivify_max_lbd: int = 5
-    debug_checks: bool = False
     recorder: object = None  # event sink, see Engine
 
     def validate(self):
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        if self.lcm.kind == "ecm" and self.lcm.ecm_max_lbd < 1:
+        if self.lcm.ecm_max_lbd < 1:
             raise ConfigError("ecm_max_lbd must be >= 1")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ConfigError("time_limit must be positive")
@@ -80,8 +73,8 @@ class PortfolioConfig:
             raise ConfigError("conflict_limit must be >= 0")
         if self.quantum < 1:
             raise ConfigError("quantum must be >= 1")
-        if self.export_max_lbd < 1 or self.export_max_len < 1:
-            raise ConfigError("export filter bounds must be >= 1")
+        if self.export_max_lbd < 1:
+            raise ConfigError("export_max_lbd must be >= 1")
 
 
 @dataclass
@@ -99,22 +92,17 @@ class PortfolioResult:
 def diversify(worker_index, config):
     """Deterministic per-worker engine configuration.
 
-    Worker 0 is the reference: dynamic restarts, decay 0.95, initial phase
-    false.  Odd workers run Luby restarts and inverted initial phase; workers
-    past 0 jitter the VSIDS decay inside [0.85, 0.99) from the seed.  The
+    Worker 0 is the reference: `EngineConfig`'s defaults (dynamic restarts,
+    decay 0.95, initial phase false) under the portfolio's schedule.  Odd
+    workers run Luby restarts and inverted initial phase; workers past 0
+    jitter the VSIDS decay inside [0.85, 0.99) from the seed.  The
     minimization mode is the same for every worker (homogeneous portfolio).
     """
     base = EngineConfig(
-        restart_kind="dynamic",
         restart_window=config.restart_window,
-        restart_k=config.restart_k,
         luby_unit=config.luby_unit,
-        var_decay=config.var_decay,
-        phase_init=False,
         reduce_first=config.reduce_first,
         reduce_inc=config.reduce_inc,
-        vivify_budget=config.vivify_budget,
-        debug_checks=config.debug_checks,
     )
     if worker_index == 0:
         return base
@@ -148,14 +136,11 @@ class _Worker:
         """Build the engine and its strategy, once."""
         if self._engine is not None:
             return
-        config, pool = self._config, self._pool
+        config = self._config
         self._engine = Engine(self._formula, diversify(self.index, config),
-                              self.stats, pool=pool, worker_id=self.index,
+                              self.stats, pool=self._pool, worker_id=self.index,
                               recorder=config.recorder)
-        self._strategy = Strategy(
-            config.lcm, self._engine, pool=pool,
-            export_filter=ExportFilter(config.export_max_lbd, config.export_max_len),
-            policy=CandidatePolicy(max_lbd=config.vivify_max_lbd))
+        self._strategy = Strategy(config.lcm, self._engine, config.export_max_lbd)
 
     @property
     def engine(self):

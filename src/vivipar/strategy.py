@@ -18,8 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import exchange
-from .vivify import (CandidatePolicy, apply_outcome, satisfied_at_root,
-                     select_candidates, vivify_clause)
+from .vivify import (apply_outcome, satisfied_at_root, select_candidates,
+                     vivify_clause)
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,16 @@ def mode_from_label(label):
 
 
 class Strategy:
-    """Per-worker minimization workflow, installed as the engine's hooks."""
+    """Per-worker minimization workflow, installed as the engine's hooks.
 
-    def __init__(self, mode, engine, pool=None, export_filter=None, policy=None):
+    Clauses go to and improvements come from the engine's pool; a clause is
+    exported only with LBD <= ``export_max_lbd``.
+    """
+
+    def __init__(self, mode, engine, export_max_lbd=4):
         self.mode = mode
         self.engine = engine
-        self.pool = pool
-        self.filter = export_filter or exchange.ExportFilter()
-        self.policy = policy or CandidatePolicy()
+        self.export_max_lbd = export_max_lbd
         self.reduce_pending = False
         self.ecm_withheld = deque()
         engine.hooks = self
@@ -117,11 +119,12 @@ class Strategy:
     # -- internals -----------------------------------------------------
 
     def _export(self, clause, lits=None, lbd=None):
-        if self.pool is None:
+        eng = self.engine
+        if eng.pool is None:
             return False
-        return exchange.export(self.pool, self.engine.worker_id, clause,
-                               self.filter, self.mode, lits=lits, lbd=lbd,
-                               stats=self.engine.stats, recorder=self.engine.recorder)
+        return exchange.export(eng.pool, eng.worker_id, clause,
+                               self.export_max_lbd, self.mode, lits=lits, lbd=lbd,
+                               stats=eng.stats, recorder=eng.recorder)
 
     def _flush_withheld(self):
         """Vivify every withheld clause, export its final form, unprotect."""
@@ -150,7 +153,7 @@ class Strategy:
         """PCM/LPCM: vivify the candidate set, then reduce the database."""
         self.reduce_pending = False
         eng = self.engine
-        candidates = select_candidates(eng.learned_db, self.policy)
+        candidates = select_candidates(eng.learned_db)
         for c in candidates:
             if c.removed:
                 continue
@@ -161,7 +164,7 @@ class Strategy:
             out = vivify_clause(eng, c)
             apply_outcome(eng, c, out)
             if self.mode.kind == "lpcm" and out.success and key is not None:
-                self.pool.publish(key, out.new_lits)
+                eng.pool.publish(key, out.new_lits)
                 eng.stats.improvements_published += 1
                 if eng.recorder is not None:
                     eng.recorder(("publish", eng.worker_id, out.new_lits))
@@ -180,7 +183,7 @@ class Strategy:
         for c in list(eng.learned_db):
             if c.removed or not c.imported or c.link is None:
                 continue
-            lits = self.pool.improvement(eng.worker_id, c.link)
+            lits = eng.pool.improvement(c.link)
             if lits is None:
                 continue
             c.link = None  # publications are at-most-once; nothing more comes

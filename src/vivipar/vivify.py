@@ -45,22 +45,20 @@ class VivifyOutcome:
         return self.kind in (SHORTENED, CONFLICT_REPLACED)
 
 
-@dataclass(frozen=True)
-class CandidatePolicy:
-    """Which learned clauses are worth vivifying: the lowest-LBD half of the
-    database, capped at max_lbd, each clause tried at most once."""
-    max_lbd: int = 5
+# Clauses with a higher LBD are not worth a vivification attempt.
+VIVIFY_MAX_LBD = 5
 
 
-def select_candidates(db, policy):
-    """Rank the learned database by (LBD ascending, activity descending),
-    keep the lowest half, then filter by the policy caps.  Imported clauses
-    are left out: only the worker that learned a clause vivifies it."""
+def select_candidates(db):
+    """The learned clauses worth vivifying: rank the database by (LBD
+    ascending, activity descending), keep the lowest half, and drop clauses
+    above `VIVIFY_MAX_LBD` or already tried.  Imported clauses are left out:
+    only the worker that learned a clause vivifies it."""
     live = [c for c in db if c.learned and not c.removed]
     live.sort(key=lambda c: (c.lbd, -c.activity))
     out = []
     for c in live[:len(live) // 2]:
-        if c.lbd > policy.max_lbd:
+        if c.lbd > VIVIFY_MAX_LBD:
             continue
         if c.vivify_attempted or c.imported:
             continue

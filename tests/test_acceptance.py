@@ -190,9 +190,9 @@ def test_criterion_5_lpcm_protocol_directed(capsys):
     pool = SharedPool(2)
     shared = [[-1, 2]]
     eng_a = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=0)
-    strat_a = Strategy(LPCM, eng_a, pool=pool)
+    strat_a = Strategy(LPCM, eng_a)
     eng_b = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=1)
-    strat_b = Strategy(LPCM, eng_b, pool=pool)
+    strat_b = Strategy(LPCM, eng_b)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -224,7 +224,7 @@ def test_criterion_5_lpcm_protocol_directed(capsys):
 
 def test_criterion_5_link_stress_no_torn_reads(capsys):
     # worker 0 publishes improvements of its 500 shared clauses while
-    # workers 1-8 look every key up in their own mailboxes
+    # workers 1-8 look every key up in the pool
     pool = SharedPool(9)
     keys = [(0, cid) for cid in range(500)]
     payloads = []
@@ -240,7 +240,7 @@ def test_criterion_5_link_stress_no_torn_reads(capsys):
     def reader(k):
         while not done.is_set() or ops[k] < 15_000:
             for key in keys:
-                got = pool.improvement(k + 1, key)
+                got = pool.improvement(key)
                 ops[k] += 1
                 if got is not None and sum(got[:-1]) != -got[-1]:
                     torn.append(got)
@@ -257,13 +257,12 @@ def test_criterion_5_link_stress_no_torn_reads(capsys):
     total_ops = sum(ops)
     assert not torn
     assert total_ops >= 100_000
-    assert all(pool.improvement(w, key) == p
-               for key, p in zip(keys, payloads) for w in range(1, 9))
+    assert all(pool.improvement(key) == p for key, p in zip(keys, payloads))
     for key in keys:  # each key is published at most once
         with pytest.raises(DoublePublish):
             pool.publish(key, (1,))
-    assert all(pool.improvement(1, key) == p for key, p in zip(keys, payloads))
-    announce(capsys, f"\nACCEPTANCE 5b improvement mailbox stress: PASS "
+    assert all(pool.improvement(key) == p for key, p in zip(keys, payloads))
+    announce(capsys, f"\nACCEPTANCE 5b improvement store stress: PASS "
           f"(1 writer / 8 readers, {total_ops} lookups, 0 torn reads)")
 
 

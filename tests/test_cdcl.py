@@ -76,7 +76,7 @@ def test_learned_clauses_implied_by_formula():
         f = gen_random_3sat(20, 85, seed)
         log = []
         eng = Engine(f, EngineConfig(debug_checks=True), recorder=log.append)
-        Strategy(NONE, eng, pool=None)
+        Strategy(NONE, eng)
         eng.solve(conflict_limit=150)
         learns = of_kind(log, "learn")
         words = models(f.num_vars, f.clauses)  # F |= C iff no model falsifies C
@@ -123,7 +123,7 @@ def test_minimized_clause_still_implied():
         f = gen_random_3sat(16, 68, seed + 500)
         log = []
         eng = Engine(f, EngineConfig(debug_checks=True), recorder=log.append)
-        Strategy(NONE, eng, pool=None)
+        Strategy(NONE, eng)
         eng.solve(conflict_limit=100)
         for _, _, _, _, lits in of_kind(log, "learn"):
             assert implied(f.num_vars, f.clauses, lits)
@@ -194,13 +194,14 @@ def test_luby_restart_thresholds():
 
 
 def test_dynamic_restart_window_mean_exceeds_k_times_global():
-    cfg = EngineConfig(restart_kind="dynamic", restart_window=50, restart_k=0.8)
+    cfg = EngineConfig(restart_kind="dynamic", restart_window=50)
     window = [10] * 50
     assert should_restart(cfg, window, 5.0, 10, 1)  # 10 > 0.8 * 5
+    assert not should_restart(cfg, [4] * 50, 5.0, 10, 1)  # 4 is not > 0.8 * 5
 
 
 def test_dynamic_restart_window_not_full():
-    cfg = EngineConfig(restart_kind="dynamic", restart_window=50, restart_k=0.8)
+    cfg = EngineConfig(restart_kind="dynamic", restart_window=50)
     assert not should_restart(cfg, [10] * 49, 5.0, 10, 1)
 
 

@@ -1,9 +1,10 @@
 import sys
 import threading
+import time
 
 import pytest
 
-from vivipar.exchange import (DoublePublish, ExportFilter, SharedClause,
+from vivipar.exchange import (EXPORT_MAX_LEN, DoublePublish, SharedClause,
                               SharedPool, export)
 from vivipar.formula import Clause
 from vivipar.strategy import LPCM, PCM
@@ -17,32 +18,34 @@ def mk_clause(lits, lbd, attempted=False):
 
 def test_filter_passes_lbd_within_bound():
     pool = SharedPool(2)
-    assert export(pool, 0, mk_clause([1, 2, 3], lbd=3), ExportFilter(max_lbd=4), PCM)
+    assert export(pool, 0, mk_clause([1, 2, 3], lbd=3), 4, PCM)
     assert pool.pending(1) == 1
 
 
 def test_filter_rejects_high_lbd():
     pool = SharedPool(2)
-    assert not export(pool, 0, mk_clause([1, 2, 3], lbd=7), ExportFilter(max_lbd=4), PCM)
+    assert not export(pool, 0, mk_clause([1, 2, 3], lbd=7), 4, PCM)
     assert pool.pending(1) == 0
 
 
 def test_filter_rejects_long_clause():
     pool = SharedPool(2)
     c = mk_clause(list(range(1, 40)), lbd=2)
-    assert not export(pool, 0, c, ExportFilter(max_len=30), PCM)
+    assert not export(pool, 0, c, 4, PCM)
+    c = mk_clause(list(range(1, EXPORT_MAX_LEN + 1)), lbd=2)
+    assert export(pool, 0, c, 4, PCM)  # the bound is inclusive
 
 
 def test_lpcm_attaches_link_pcm_does_not():
     pool = SharedPool(2)
     c = mk_clause([1, 2, 3], lbd=2)
-    export(pool, 0, c, ExportFilter(), LPCM)
+    export(pool, 0, c, 4, LPCM)
     rec = pool.drain(1)[0]
     assert rec.cid == c.cid
     assert c.link == (rec.origin, rec.cid) == (0, 1)
 
     c2 = mk_clause([1, 2, 3], lbd=2)
-    export(pool, 0, c2, ExportFilter(), PCM)
+    export(pool, 0, c2, 4, PCM)
     rec2 = pool.drain(1)[0]
     assert rec2.cid is None and c2.link is None
 
@@ -50,7 +53,7 @@ def test_lpcm_attaches_link_pcm_does_not():
 def test_lpcm_no_link_when_already_vivified():
     pool = SharedPool(2)
     c = mk_clause([1, 2, 3], lbd=2, attempted=True)
-    export(pool, 0, c, ExportFilter(), LPCM)
+    export(pool, 0, c, 4, LPCM)
     assert pool.drain(1)[0].cid is None
     assert c.link is None
 
@@ -62,8 +65,8 @@ def test_import_empty_buffer():
 
 def test_import_fifo_and_no_self_import():
     pool = SharedPool(3)
-    export(pool, 0, mk_clause([1, 2], lbd=1), ExportFilter(), PCM)
-    export(pool, 0, mk_clause([3, 4], lbd=1), ExportFilter(), PCM)
+    export(pool, 0, mk_clause([1, 2], lbd=1), 4, PCM)
+    export(pool, 0, mk_clause([3, 4], lbd=1), 4, PCM)
     got = pool.drain(1)
     assert [r.lits for r in got] == [(1, 2), (3, 4)]
     assert all(r.origin == 0 for r in got)
@@ -74,7 +77,7 @@ def test_import_fifo_and_no_self_import():
 def test_import_records_byte_identical():
     pool = SharedPool(3)
     c = mk_clause([5, -7, 2], lbd=3)
-    export(pool, 0, c, ExportFilter(), PCM)
+    export(pool, 0, c, 4, PCM)
     r1 = pool.drain(1)[0]
     r2 = pool.drain(2)[0]
     assert r1.lits == tuple(c.lits) and r1.lbd == c.lbd
@@ -100,13 +103,13 @@ def test_duplicate_clauses_from_different_origins_both_kept():
 def test_publish_poll_roundtrip():
     pool = SharedPool(3)
     key = (0, 7)
-    assert pool.improvement(1, key) is None
+    assert pool.improvement(key) is None
     pool.publish(key, [1, 2])
-    assert pool.improvement(1, key) == (1, 2)
-    assert pool.improvement(1, key) == (1, 2)  # idempotent
-    assert pool.improvement(2, key) == (1, 2)
-    assert pool.improvement(1, (0, 8)) is None
-    assert pool.improvement(1, (2, 7)) is None  # keys name the origin
+    assert pool.improvement(key) == (1, 2)
+    # idempotent, and every reader gets the one stored tuple
+    assert pool.improvement(key) is pool.improvement(key)
+    assert pool.improvement((0, 8)) is None
+    assert pool.improvement((2, 7)) is None  # keys name the origin
 
 
 def test_double_publish_raises():
@@ -115,7 +118,50 @@ def test_double_publish_raises():
         pool.publish((0, 1), (1,))
         with pytest.raises(DoublePublish):
             pool.publish((0, 1), (2,))
-        assert pool.improvement(workers - 1, (0, 1)) == (1,)
+        assert pool.improvement((0, 1)) == (1,)
+
+
+class _YieldingKey(tuple):
+    """A key whose hashing yields the interpreter lock, so another thread can
+    run between a publish's check and its store."""
+
+    def __hash__(self):
+        time.sleep(0)
+        return tuple.__hash__(self)
+
+
+def test_racing_publishers_store_each_key_once():
+    # 4 writers race to publish the same 300 keys: per key exactly one
+    # publish succeeds, every other raises, and the stored tuple is the
+    # winner's
+    pool = SharedPool(4)
+    keys = [_YieldingKey((0, cid)) for cid in range(300)]
+    won = [[] for _ in range(4)]
+    lost = [0] * 4
+
+    def writer(w):
+        for key in keys:
+            try:
+                pool.publish(key, (w, key[1]))
+                won[w].append(key)
+            except DoublePublish:
+                lost[w] += 1
+
+    threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(k for keys_won in won for k in keys_won) == keys
+    assert sum(lost) == 3 * len(keys)
+    for w, keys_won in enumerate(won):
+        assert all(pool.improvement(key) == (w, key[1]) for key in keys_won)
 
 
 def test_link_stress_no_torn_reads():
@@ -134,7 +180,7 @@ def test_link_stress_no_torn_reads():
     def reader(k):
         while not done.is_set() or ops[k] < 15000:
             for key in keys:
-                got = pool.improvement(k + 1, key)
+                got = pool.improvement(key)
                 ops[k] += 1
                 if got is not None and sum(got[:-1]) != -got[-1]:
                     errors.append(got)
@@ -157,4 +203,4 @@ def test_link_stress_no_torn_reads():
     assert not errors
     assert sum(ops) >= 100_000
     for key, payload in zip(keys, payloads):
-        assert all(pool.improvement(w, key) == payload for w in range(1, 9))
+        assert pool.improvement(key) == payload

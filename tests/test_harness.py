@@ -169,9 +169,12 @@ def test_cli_deterministic_worker_fault_exit_3(unsat_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize("args, message", [
     (["--lcm=ecm", "--ecm-max-lbd", "0"], "ecm_max_lbd must be >= 1"),
+    (["--lcm=pcm", "--ecm-max-lbd", "0"], "ecm_max_lbd must be >= 1"),
+    (["--export-max-lbd", "0"], "export_max_lbd must be >= 1"),
     (["--time-limit", "nan"], "time_limit must be positive"),
     (["--time-limit", "0"], "time_limit must be positive"),
-], ids=["ecm-max-lbd-0", "time-limit-nan", "time-limit-0"])
+], ids=["ecm-max-lbd-0", "pcm-ecm-max-lbd-0", "export-max-lbd-0",
+        "time-limit-nan", "time-limit-0"])
 def test_cli_bad_option_value_exit_1(unsat_file, capsys, args, message):
     assert cli_main([unsat_file, "--deterministic", *args]) == 1
     captured = capsys.readouterr()

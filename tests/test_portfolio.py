@@ -1,9 +1,11 @@
+import dataclasses
 import gc
 import threading
 import time
 
 import pytest
 
+import vivipar
 from vivipar.cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
 from vivipar.formula import evaluate
 from vivipar.harness import gen_random_3sat
@@ -93,8 +95,30 @@ def test_config_errors():
         run(f, PortfolioConfig(quantum=0))
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(lcm=LcmMode("ecm", 0)))
+    with pytest.raises(ConfigError):
+        run(f, PortfolioConfig(lcm=LcmMode("pcm", 0)))
+    with pytest.raises(ConfigError):
+        run(f, PortfolioConfig(export_max_lbd=0))
     with pytest.raises(ValueError):
         ecm(0)
+
+
+def test_config_surface():
+    # every settable value is deliberate: a new knob must edit this test
+    assert [f.name for f in dataclasses.fields(PortfolioConfig)] == [
+        "num_workers", "lcm", "seed", "deterministic", "time_limit",
+        "conflict_limit", "export_max_lbd", "quantum", "reduce_first",
+        "reduce_inc", "restart_window", "luby_unit", "recorder"]
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "restart_kind", "restart_window", "luby_unit", "var_decay",
+        "phase_init", "reduce_first", "reduce_inc", "vivify_budget",
+        "debug_checks"]
+    for name in vivipar.__all__:
+        assert getattr(vivipar, name) is not None, name
+    assert "ExportFilter" not in vivipar.__all__
+    assert "CandidatePolicy" not in vivipar.__all__
+    assert not hasattr(vivipar.exchange, "ExportFilter")
+    assert not hasattr(vivipar.vivify, "CandidatePolicy")
 
 
 def test_agreement_across_modes_and_worker_counts():

@@ -1,5 +1,5 @@
 from vivipar.cdcl import Engine, EngineConfig, SAT
-from vivipar.exchange import ExportFilter, SharedPool
+from vivipar.exchange import SharedPool
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.strategy import LPCM, NONE, PCM, Strategy, ecm, mode_from_label
@@ -8,11 +8,11 @@ from conftest import mk_formula, of_kind
 
 
 def wire(mode, f_clauses=(), num_vars=8, num_workers=2, worker=0, log=None,
-         filt=None, **cfg):
+         **cfg):
     pool = SharedPool(num_workers)
     eng = Engine(mk_formula(num_vars, list(f_clauses)), EngineConfig(**cfg),
                  pool=pool, worker_id=worker, recorder=log)
-    strat = Strategy(mode, eng, pool=pool, export_filter=filt or ExportFilter())
+    strat = Strategy(mode, eng)
     assert eng.propagate() is None
     return pool, eng, strat
 
@@ -181,10 +181,10 @@ def test_lpcm_publish_and_importer_adoption():
     shared = [[-1, 2]]  # under -b, a is forced false: (b,c,a) -> (b,c)
     eng_a = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=0,
                    recorder=log.append)
-    a = Strategy(LPCM, eng_a, pool=pool)
+    a = Strategy(LPCM, eng_a)
     eng_b = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=1,
                    recorder=log.append)
-    b = Strategy(LPCM, eng_b, pool=pool)
+    b = Strategy(LPCM, eng_b)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -201,7 +201,7 @@ def test_lpcm_publish_and_importer_adoption():
 
     a.before_reduce()  # level 0: vivify pass publishes (2, 3)
     assert eng_a.stats.improvements_published == 1
-    assert pool.improvement(1, c.link) == (2, 3)
+    assert pool.improvement(c.link) == (2, 3)
 
     b.before_reduce()  # importer looks its key up during reduction and swaps
     assert eng_b.stats.improvements_adopted == 1
@@ -219,7 +219,7 @@ def test_pcm_isolation_no_links_ever():
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
                                      restart_window=8), pool=pool, worker_id=0,
                      recorder=log.append)
-        Strategy(PCM, eng, pool=pool)
+        Strategy(PCM, eng)
         eng.solve(conflict_limit=300)
         for rec in pool.drain(1):
             assert rec.cid is None
@@ -253,7 +253,7 @@ def test_none_mode_matches_bare_engine_traces():
         wired_events = []
         wired = Engine(f, EngineConfig(**cfg), pool=pool, worker_id=0,
                        recorder=wired_events.append)
-        Strategy(NONE, wired, pool=pool)
+        Strategy(NONE, wired)
         status_wired = wired.solve()
 
         assert status_bare == status_wired

@@ -8,8 +8,8 @@ from vivipar.harness import gen_random_3sat
 from vivipar.oracle import implied
 from vivipar.strategy import PCM, Strategy
 from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
-                            CandidatePolicy, VivifyOutcome, apply_outcome,
-                            satisfied_at_root, select_candidates, vivify_clause)
+                            VivifyOutcome, apply_outcome, satisfied_at_root,
+                            select_candidates, vivify_clause)
 
 from conftest import mk_formula, of_kind
 
@@ -185,35 +185,35 @@ def mk_db(lbds, activities=None):
 
 def test_select_lowest_half_with_lbd_cap():
     db = mk_db([2, 6, 3, 8, 5, 7])
-    got = select_candidates(db, CandidatePolicy())
+    got = select_candidates(db)
     assert sorted(c.lbd for c in got) == [2, 3, 5]
 
 
 def test_select_empty_when_lowest_half_exceeds_cap():
     db = mk_db([6, 7, 8, 9])
-    assert select_candidates(db, CandidatePolicy()) == []
+    assert select_candidates(db) == []
 
 
 def test_select_skips_already_attempted():
     db = mk_db([2, 6, 3, 8, 5, 7])
     db[0].vivify_attempted = True  # the LBD-2 clause
-    got = select_candidates(db, CandidatePolicy())
+    got = select_candidates(db)
     assert sorted(c.lbd for c in got) == [3, 5]
 
 
 def test_select_skips_imported():
     db = mk_db([2, 6, 3, 8, 5, 7])
     db[2].imported = True
-    got = select_candidates(db, CandidatePolicy())
+    got = select_candidates(db)
     assert sorted(c.lbd for c in got) == [2, 5]
     db[2].imported = False
-    got = select_candidates(db, CandidatePolicy())
+    got = select_candidates(db)
     assert sorted(c.lbd for c in got) == [2, 3, 5]
 
 
 def test_select_ties_broken_by_higher_activity():
     db = mk_db([3, 3, 3, 3], activities=[0.5, 2.0, 1.0, 0.1])
-    got = select_candidates(db, CandidatePolicy())
+    got = select_candidates(db)
     assert [c.activity for c in got] == [2.0, 1.0]
 
 
@@ -310,7 +310,7 @@ def test_strict_progress_and_soundness_random():
         log = []
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
                                      restart_window=8), recorder=log.append)
-        Strategy(PCM, eng, pool=None)
+        Strategy(PCM, eng)
         eng.solve(conflict_limit=400)
         for _, _, old, new in of_kind(log, "replace"):
             total += 1
