@@ -113,7 +113,6 @@ class Engine:
         self.var_inc = 1.0
         self.cla_inc = 1.0
         self.saved_phase = [self.cfg.phase_init] * (n + 1)
-        self.decisions = 0
 
         self.lbd_window = deque(maxlen=self.cfg.restart_window)
         self._lbd_sum = 0
@@ -652,7 +651,6 @@ class Engine:
             if litval[v + n] == 0 and act[v] > best_a:
                 best = v
                 best_a = act[v]
-        self.decisions += 1
         return best if self.saved_phase[best] else -best
 
     # ------------------------------------------------------------------
@@ -703,46 +701,67 @@ class Engine:
                             + self.cfg.reduce_inc * self._reduces_done)
         return ndel
 
-    def replace_clause(self, old, new_lits, new_lbd):
-        """Swap ``old`` for a strictly stronger clause, at decision level 0.
+    def _admit(self, lits, lbd, imported=False):
+        """Add a learned clause at decision level 0: the one way in for
+        imports and vivified replacements.
 
-        Returns the new attached Clause, or None when the replacement
-        dissolved (satisfied at level 0, enqueued as a unit, or derived a
-        level-0 conflict, which marks the engine UNSAT).
+        A clause true at level 0 is dropped; one with no unassigned literal
+        marks the engine UNSAT; a single unassigned literal is enqueued and
+        propagated (a conflict marks the engine UNSAT).  Any other clause
+        joins the learned database with its LBD clamped to [1, len].  An
+        import whose claimed LBD is at least `IMPORT_TWO_WATCH_LBD` goes on
+        the one-watch standby at its first unassigned literal; every other
+        clause watches two unassigned literals, moved into its own positions
+        0 and 1.  An import counts in ``clauses_imported`` unless dropped or
+        refuted.  Returns the new Clause, or None.
         """
         assert self.decision_level == 0
         n = self.num_vars
         litval = self.litval
-        self._detach(old)
-        old.removed = True
-        v0 = abs(old.lits[0])
-        if self.reason[v0] is old:  # level-0 reasons may dangle otherwise
-            self.reason[v0] = None
-        if any(litval[l + n] == 1 for l in new_lits):
+        if any(litval[l + n] == 1 for l in lits):
             return None
-        nonfalse = [l for l in new_lits if litval[l + n] == 0]
-        if not nonfalse:
+        free = [l for l in lits if litval[l + n] == 0]
+        if not free:
             self._terminal = UNSAT
             return None
-        if len(nonfalse) == 1:
-            if not self._enqueue(nonfalse[0], None) or self.propagate() is not None:
+        if imported:
+            self.stats.clauses_imported += 1
+        if len(free) == 1:
+            self._enqueue(free[0], None)
+            if self.propagate() is not None:
                 self._terminal = UNSAT
             return None
-        ordered = list(new_lits)
-        i0 = ordered.index(nonfalse[0])
-        ordered[0], ordered[i0] = ordered[i0], ordered[0]
-        i1 = ordered.index(nonfalse[1])
-        ordered[1], ordered[i1] = ordered[i1], ordered[1]
         self._cid += 1
-        c = Clause(ordered, max(1, min(new_lbd, len(ordered))),
-                   old.learned, old.imported, self._cid)
-        c.activity = old.activity
-        c.vivify_attempted = old.vivify_attempted
-        c.protected = old.protected
+        c = Clause(lits, max(1, min(lbd, len(lits))), True, imported, self._cid)
         self.learned_db.append(c)
-        self._attach(c)
+        if imported and lbd >= IMPORT_TWO_WATCH_LBD:
+            self._attach_one(c, free[0])
+        else:
+            own = c.lits
+            for pos in (0, 1):
+                i = own.index(free[pos])
+                own[pos], own[i] = own[i], own[pos]
+            self._attach(c)
         if self.cfg.debug_checks:
             check_meta(c)
+        return c
+
+    def replace_clause(self, old, new_lits, new_lbd):
+        """Swap ``old`` for a strictly stronger clause, at decision level 0.
+
+        The replacement is admitted by `_admit`, so ``new_lbd`` is clamped
+        to [1, len(new_lits)], and takes over the old clause's activity and
+        flags.  Returns the new attached Clause, or None when the
+        replacement dissolved (satisfied at level 0, enqueued as a unit, or
+        derived a level-0 conflict, which marks the engine UNSAT).
+        """
+        self.remove_clause(old)
+        c = self._admit(new_lits, new_lbd)
+        if c is not None:
+            c.imported = old.imported
+            c.activity = old.activity
+            c.vivify_attempted = old.vivify_attempted
+            c.protected = old.protected
         return c
 
     def remove_clause(self, c):
@@ -750,7 +769,7 @@ class Engine:
         self._detach(c)
         c.removed = True
         v0 = abs(c.lits[0])
-        if self.reason[v0] is c:
+        if self.reason[v0] is c:  # level-0 reasons may dangle otherwise
             self.reason[v0] = None
 
     # ------------------------------------------------------------------
@@ -759,47 +778,22 @@ class Engine:
     def _integrate_imports(self):
         """Drain the inbound share buffer at decision level 0.
 
-        Satisfied records are dropped; units are enqueued; the rest are
-        watched according to the lazy-import policy.  Returns the number of
-        records integrated (level-0 conflicts mark the engine UNSAT).
+        Each record goes through `_admit`, which keys the watch policy on
+        the exporter's claimed LBD.  Returns the number of records
+        integrated (level-0 conflicts mark the engine UNSAT).
         """
         records = self.pool.drain(self.worker_id)
         if not records:
             return 0
-        n = self.num_vars
-        litval = self.litval
-        count = 0
+        stats = self.stats
+        before = stats.clauses_imported
         for rec in records:
-            lits = list(rec.lits)
-            if any(litval[l + n] == 1 for l in lits):
-                continue
-            nonfalse = [l for l in lits if litval[l + n] == 0]
-            if not nonfalse:
-                self._terminal = UNSAT
-                return count
-            self.stats.clauses_imported += 1
-            count += 1
-            if len(nonfalse) == 1:
-                if not self._enqueue(nonfalse[0], None) or self.propagate() is not None:
-                    self._terminal = UNSAT
-                    return count
-                continue
-            self._cid += 1
-            lbd = max(1, min(rec.lbd, len(lits)))
-            c = Clause(lits, lbd, True, True, self._cid)
-            if rec.cid is not None:
+            c = self._admit(rec.lits, rec.lbd, imported=True)
+            if c is not None and rec.cid is not None:
                 c.link = (rec.origin, rec.cid)
-            self.learned_db.append(c)
-            # the watch policy keys on the exporter's claimed LBD
-            if rec.lbd < IMPORT_TWO_WATCH_LBD:
-                i0 = lits.index(nonfalse[0])
-                lits[0], lits[i0] = lits[i0], lits[0]
-                i1 = lits.index(nonfalse[1])
-                lits[1], lits[i1] = lits[i1], lits[1]
-                self._attach(c)
-            else:
-                self._attach_one(c, nonfalse[0])
-        return count
+            if self._terminal is not None:
+                break
+        return stats.clauses_imported - before
 
     # ------------------------------------------------------------------
     # search
@@ -923,8 +917,10 @@ class Engine:
                 if self.qhead == len(self.trail):
                     v0, v1 = self.value(c.lits[0]), self.value(c.lits[1])
                     assert not (v0 == -1 and v1 == -1), f"{c!r} has two false watches"
+                    if v0 == -1:
+                        assert v1 == 1, f"{c!r} false watch 0 without satisfied partner"
                     if v1 == -1:
-                        assert v0 == 1, f"{c!r} false watch without satisfied partner"
+                        assert v0 == 1, f"{c!r} false watch 1 without satisfied partner"
         for idx, wl in enumerate(self.watches):
             for c in wl:
                 lit = idx - n

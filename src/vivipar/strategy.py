@@ -126,26 +126,33 @@ class Strategy:
                                self.export_max_lbd, self.mode, lits=lits, lbd=lbd,
                                stats=eng.stats, recorder=eng.recorder)
 
+    def _vivify(self, c):
+        """Vivify one clause at level 0 and fold the outcome back.
+
+        Returns the outcome, or None when the clause was already removed or
+        is satisfied at the root (and is removed now).
+        """
+        eng = self.engine
+        if c.removed:
+            return None
+        if satisfied_at_root(eng, c):
+            eng.remove_clause(c)
+            return None
+        out = vivify_clause(eng, c)
+        apply_outcome(eng, c, out)
+        return out
+
     def _flush_withheld(self):
         """Vivify every withheld clause, export its final form, unprotect."""
         eng = self.engine
         while self.ecm_withheld:
             c = self.ecm_withheld.popleft()
             c.protected = False
-            if c.removed:
+            out = self._vivify(c)
+            if out is None:
                 continue
-            if satisfied_at_root(eng, c):
-                eng.remove_clause(c)
-                continue
-            out = vivify_clause(eng, c)
-            if out.success:
-                final_lits, final_lbd = out.new_lits, min(c.lbd, len(out.new_lits))
-                if out.new_lbd is not None:
-                    final_lbd = min(final_lbd, out.new_lbd)
-            else:
-                final_lits, final_lbd = tuple(c.lits), c.lbd
-            apply_outcome(eng, c, out)
-            self._export(c, lits=final_lits, lbd=max(1, final_lbd))
+            # an Unchanged outcome has no new form: the clause's own goes out
+            self._export(c, lits=out.new_lits, lbd=out.new_lbd)
             if eng._terminal is not None:
                 return
 
@@ -153,18 +160,11 @@ class Strategy:
         """PCM/LPCM: vivify the candidate set, then reduce the database."""
         self.reduce_pending = False
         eng = self.engine
-        candidates = select_candidates(eng.learned_db)
-        for c in candidates:
-            if c.removed:
-                continue
-            if satisfied_at_root(eng, c):
-                eng.remove_clause(c)
-                continue
-            key = c.link
-            out = vivify_clause(eng, c)
-            apply_outcome(eng, c, out)
-            if self.mode.kind == "lpcm" and out.success and key is not None:
-                eng.pool.publish(key, out.new_lits)
+        for c in select_candidates(eng.learned_db):
+            out = self._vivify(c)
+            if (self.mode.kind == "lpcm" and out is not None and out.success
+                    and c.link is not None):
+                eng.pool.publish(c.link, out.new_lits)
                 eng.stats.improvements_published += 1
                 if eng.recorder is not None:
                     eng.recorder(("publish", eng.worker_id, out.new_lits))
@@ -192,6 +192,7 @@ class Strategy:
             eng.stats.improvements_adopted += 1
             if eng.recorder is not None:
                 eng.recorder(("adopt", eng.worker_id, tuple(c.lits), lits))
-            eng.replace_clause(c, list(lits), min(c.lbd, len(lits)))
+            # no analysis LBD: the old one, clamped to the new length
+            eng.replace_clause(c, lits, c.lbd)
             if eng._terminal is not None:
                 return

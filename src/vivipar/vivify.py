@@ -38,7 +38,7 @@ class VivifyOutcome:
     kind: str
     new_lits: tuple | None = None
     propagations_used: int = 0
-    new_lbd: int | None = None
+    new_lbd: int | None = None  # the replacement's LBD, set on success
 
     @property
     def success(self):
@@ -135,6 +135,10 @@ def vivify_clause(engine, clause):
     new_lits = tuple(new) if new is not None else None
     if new_lits is not None:
         assert len(new_lits) < len(lits), "vivification must strictly shorten"
+        # the replacement's literals are unassigned at level 0, so the old
+        # LBD, the new length and the conflict-analysis LBD (a shortening
+        # has none) all bound it
+        lbd = max(1, min(clause.lbd, len(new_lits), lbd or len(new_lits)))
     if engine.recorder is not None:
         engine.recorder(("vivify", engine.worker_id, clause.cid, kind))
     return VivifyOutcome(kind, new_lits, props, lbd)
@@ -147,10 +151,7 @@ def apply_outcome(engine, clause, outcome):
     replacement for a success) or None when the replacement dissolved:
     satisfied at level 0, shrunk to a level-0 unit, or refuted (engine goes
     UNSAT).  A success emits ``("replace", w, old lits, new lits)`` to the
-    engine's recorder.
-    The replacement's LBD is recomputed conservatively, capped at the old
-    value (its literals are unassigned at level 0, so the conflict-analysis
-    LBD or the new length is the best available bound).
+    engine's recorder and stores the replacement with the outcome's LBD.
     """
     if outcome.kind == UNCHANGED:
         return clause
@@ -159,7 +160,4 @@ def apply_outcome(engine, clause, outcome):
     if engine.recorder is not None:
         engine.recorder(("replace", engine.worker_id, tuple(clause.lits),
                          outcome.new_lits))
-    new_lbd = min(clause.lbd, len(outcome.new_lits))
-    if outcome.kind == CONFLICT_REPLACED and outcome.new_lbd is not None:
-        new_lbd = min(new_lbd, outcome.new_lbd)
-    return engine.replace_clause(clause, list(outcome.new_lits), max(1, new_lbd))
+    return engine.replace_clause(clause, outcome.new_lits, outcome.new_lbd)

@@ -2,7 +2,7 @@ import random
 
 from vivipar.cdcl import (SAT, UNSAT, UNKNOWN, Engine, EngineConfig, luby,
                           should_restart)
-from vivipar.exchange import SharedPool
+from vivipar.exchange import SharedClause, SharedPool
 from vivipar.formula import Clause, Formula
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force, entails, implied, models
@@ -331,6 +331,23 @@ def test_vsids_rescale_preserves_order():
     assert eng.activity[2] > eng.activity[4] > eng.activity[3] > 0.0
     assert eng.activity[1] == 3e-100 + eng.var_inc
     assert eng.activity[4] == 5e-100
+
+
+def test_import_watches_unassigned_literals():
+    # -1 holds at level 0, so the import (1 2 3) must watch 2 and 3 in its
+    # own positions 0 and 1, and propagate 2 once 3 is false
+    pool = SharedPool(2)
+    eng = Engine(mk_formula(3, [[-1]]), EngineConfig(), pool=pool, worker_id=1)
+    assert eng.propagate() is None
+    pool.broadcast(SharedClause((1, 2, 3), 2, 0))
+    assert eng._integrate_imports() == 1
+    imported = eng.learned_db[0]
+    assert not imported.one_watched
+    assert eng.value(imported.lits[0]) == 0 and eng.value(imported.lits[1]) == 0
+    eng.assume(-3)
+    assert eng.propagate() is None
+    assert eng.value(2) == 1
+    assert eng.reason[2] is imported
 
 
 def test_lazy_import_one_watch_conflict_detection():

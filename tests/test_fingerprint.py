@@ -16,9 +16,10 @@ import hashlib
 
 import pytest
 
+from vivipar.exchange import SharedPool
 from vivipar.formula import to_dimacs
 from vivipar.harness import cli_main, gen_random_3sat
-from vivipar.portfolio import PortfolioConfig, run
+from vivipar.portfolio import PortfolioConfig, _Worker, run
 from vivipar.stats import Stats
 from vivipar.strategy import mode_from_label
 
@@ -46,9 +47,10 @@ MODES = ("none", "pcm", "lpcm", "ecm3", "ecm4")
 # (status, winner, per-worker counters)
 GOLDEN = {
     # php65
+    # worker 1 re-recorded (1032 -> 1034) by the import-watch fix
     ('php65', 'none'): ('UNSAT', 1, (
         (1122, 0, 0, 0, 0, 99, 71, 49, 0, 0, 1, 1, 99, 0),
-        (1032, 0, 0, 0, 0, 91, 69, 60, 0, 0, 0, 1, 91, 0),
+        (1034, 0, 0, 0, 0, 91, 69, 60, 0, 0, 0, 1, 91, 0),
     )),
     ('php65', 'pcm'): ('UNSAT', 1, (
         (1712, 520, 26, 10, 26, 100, 71, 48, 0, 0, 2, 1, 100, 0),
@@ -168,6 +170,26 @@ def test_deterministic_fingerprint(case):
         got = (res.status, res.winner,
                tuple(dataclasses.astuple(s) for s in res.worker_stats))
         assert got == GOLDEN[case, mode], f"{case} {mode}"
+
+
+@pytest.mark.parametrize("case", ["php65", "uf50-1", "php76"])
+def test_watch_invariant_between_turns(case):
+    # the fingerprint runs, turn by turn: every paused engine holds the
+    # watched-literal invariant, imports and vivified replacements included
+    make, knobs = CASES[case]
+    formula = make()
+    for mode in MODES:
+        config = PortfolioConfig(num_workers=2, lcm=mode_from_label(mode),
+                                 deterministic=True, **knobs)
+        pool = SharedPool(2)
+        workers = [_Worker(i, formula, config, pool) for i in range(2)]
+        status = None
+        while status is None:
+            for w in workers:
+                status = w.engine.step(pause_after=config.quantum)
+                if status is not None:
+                    break
+                assert w.engine.check_watches()
 
 
 # The event stream of a deterministic PHP(6,5) run with 2 workers: the count
