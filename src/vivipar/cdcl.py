@@ -17,7 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .formula import Clause, check_meta
+from .formula import Clause
 from .stats import Stats
 
 SAT = "SAT"
@@ -53,8 +53,6 @@ class EngineConfig:
     phase_init: bool = False
     reduce_first: int = 2000
     reduce_inc: int = 300
-    vivify_budget: int = 1_000_000
-    debug_checks: bool = False
 
 
 def should_restart(cfg, recent_lbds, global_lbd_mean, conflicts_since_restart,
@@ -119,7 +117,6 @@ class Engine:
         self._since_restart = 0
 
         self.next_reduce = self.cfg.reduce_first
-        self._reduces_done = 0
 
         self.watches = [[] for _ in range(2 * n + 1)]
         self.watches_one = [[] for _ in range(2 * n + 1)]
@@ -127,10 +124,8 @@ class Engine:
         self.learned_db = []
         self._cid = 0
         self._terminal = None
-        self._attach_conflict = None
 
         self._in_vivify = False
-        self._vivify_props = 0
         # probe rollback records, see _propagate_probe and undo_probe_moves
         self._probe_swaps = []
         self._probe_lists = {}
@@ -144,8 +139,7 @@ class Engine:
             if len(lits) == 1:
                 l = lits[0]
                 if not self._enqueue(l, None):
-                    # contradictory input units surface as a level-0 conflict
-                    self._attach_conflict = Clause([l])
+                    self._terminal = UNSAT  # contradictory input units
             else:
                 cid += 1
                 c = Clause(lits, 1, False, False, cid)
@@ -260,9 +254,6 @@ class Engine:
         work goes to `_propagate_probe`, which also attributes the
         propagations to vivification.
         """
-        if self._attach_conflict is not None:
-            c = self._attach_conflict
-            return c
         if self._in_vivify:
             return self._propagate_probe()
         n = self.num_vars
@@ -474,7 +465,6 @@ class Engine:
         stats = self.stats
         stats.propagations_total += nprops
         stats.propagations_vivify += nprops
-        self._vivify_props += nprops
         return confl
 
     # ------------------------------------------------------------------
@@ -545,9 +535,6 @@ class Engine:
             seen[v] = 0
 
         learnt = self.minimize_learned(learnt)
-        if self.cfg.debug_checks:
-            assert all(self.value(l) == -1 for l in learnt), \
-                "learned clause not falsified at the conflict level"
 
         if len(learnt) == 1:
             blevel = 0
@@ -665,10 +652,6 @@ class Engine:
             # unit lemmas are enqueued at level 0 and never stored
             self.learned_db.append(c)
             self._attach(c)
-        if self.cfg.debug_checks:
-            assert all(self.value(l) == -1 for l in lits[1:]), "learned clause not asserting"
-            assert self.value(lits[0]) == 0, "asserting literal already assigned"
-            check_meta(c)
         self._enqueue(lits[0], c if len(lits) >= 2 else None)
         return c
 
@@ -690,15 +673,14 @@ class Engine:
         removable.sort(key=lambda c: (-c.lbd, c.activity))
         ndel = len(removable) // 2
         for c in removable[:ndel]:
-            self._detach(c)
-            c.removed = True
+            self.remove_clause(c)
             if self.recorder is not None:
                 self.recorder(("reduce_remove", self.worker_id, c.cid, c.protected))
         self.learned_db = [c for c in self.learned_db if not c.removed]
-        self.stats.reductions += 1
-        self._reduces_done += 1
-        self.next_reduce = (self.stats.conflicts + self.cfg.reduce_first
-                            + self.cfg.reduce_inc * self._reduces_done)
+        stats = self.stats
+        stats.reductions += 1
+        self.next_reduce = (stats.conflicts + self.cfg.reduce_first
+                            + self.cfg.reduce_inc * stats.reductions)
         return ndel
 
     def _admit(self, lits, lbd, imported=False):
@@ -742,8 +724,6 @@ class Engine:
                 i = own.index(free[pos])
                 own[pos], own[i] = own[i], own[pos]
             self._attach(c)
-        if self.cfg.debug_checks:
-            check_meta(c)
         return c
 
     def replace_clause(self, old, new_lits, new_lbd):
@@ -765,7 +745,7 @@ class Engine:
         return c
 
     def remove_clause(self, c):
-        """Detach and drop a clause (e.g. satisfied at level 0)."""
+        """Detach and drop a clause: satisfied at level 0, replaced or reduced."""
         self._detach(c)
         c.removed = True
         v0 = abs(c.lits[0])
@@ -807,11 +787,12 @@ class Engine:
                               self._since_restart, self.stats.restarts + 1)
 
     def step(self, pause_after=None, stop=None, deadline=None, conflict_limit=None):
-        """Run the search loop.
+        """Run the search loop: the engine's one entry point.
 
         Returns SAT/UNSAT on a definitive answer, UNKNOWN when the stop
         signal, deadline, or conflict limit fires, and None when
-        ``pause_after`` conflicts elapsed in this step (resumable).
+        ``pause_after`` conflicts elapsed in this step (resumable).  With
+        ``pause_after=None`` it runs to an answer or a budget.
         """
         if self._terminal is not None:
             return self._terminal
@@ -888,11 +869,6 @@ class Engine:
                 self.recorder(("decide", self.worker_id, lit))
             self.assume(lit)
 
-    def solve(self, stop=None, deadline=None, conflict_limit=None):
-        """Run to completion or budget; returns SAT/UNSAT/UNKNOWN."""
-        return self.step(pause_after=None, stop=stop, deadline=deadline,
-                         conflict_limit=conflict_limit)
-
     def model(self):
         """The satisfying assignment as signed literals, one per variable."""
         n = self.num_vars
@@ -924,6 +900,12 @@ class Engine:
         for idx, wl in enumerate(self.watches):
             for c in wl:
                 lit = idx - n
+                assert not c.one_watched, f"one-watched {c!r} on a two-watch list"
                 assert lit in (c.lits[0], c.lits[1]), f"stale watch entry for {c!r}"
+                assert not c.removed, f"removed clause {c!r} still watched"
+        for idx, ol in enumerate(self.watches_one):
+            for c in ol:
+                assert c.one_watched, f"two-watched {c!r} on a one-watch list"
+                assert idx - n in c.lits, f"stale one-watch entry for {c!r}"
                 assert not c.removed, f"removed clause {c!r} still watched"
         return True

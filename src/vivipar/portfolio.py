@@ -229,8 +229,8 @@ def _run_threads(workers, config):
 
     def drive(w):
         try:
-            status = w.engine.solve(stop=stop, deadline=deadline,
-                                    conflict_limit=config.conflict_limit)
+            status = w.engine.step(stop=stop, deadline=deadline,
+                                   conflict_limit=config.conflict_limit)
         except Exception as e:
             with lock:
                 faults.append((w.index, e))

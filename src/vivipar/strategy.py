@@ -97,7 +97,7 @@ class Strategy:
         """The engine just backtracked to level 0 for a restart."""
         if self.mode.kind == "ecm":
             self._flush_withheld()
-        elif self.mode.kind in ("pcm", "lpcm") and self.reduce_pending:
+        elif self.reduce_pending:
             self._vivify_and_reduce()
 
     def before_reduce(self):
@@ -113,7 +113,7 @@ class Strategy:
 
     def on_level_zero(self):
         """Quiescent at level 0 (restart or natural backjump)."""
-        if self.reduce_pending and self.mode.kind in ("pcm", "lpcm"):
+        if self.reduce_pending:
             self._vivify_and_reduce()
 
     # -- internals -----------------------------------------------------

@@ -37,7 +37,6 @@ CONFLICT_REPLACED = "conflict_replaced"
 class VivifyOutcome:
     kind: str
     new_lits: tuple | None = None
-    propagations_used: int = 0
     new_lbd: int | None = None  # the replacement's LBD, set on success
 
     @property
@@ -47,6 +46,8 @@ class VivifyOutcome:
 
 # Clauses with a higher LBD are not worth a vivification attempt.
 VIVIFY_MAX_LBD = 5
+# A probe that spends more propagations than this gives up as Unchanged.
+VIVIFY_BUDGET = 1_000_000
 
 
 def select_candidates(db):
@@ -76,19 +77,20 @@ def vivify_clause(engine, clause):
 
     Preconditions: no pending propagation, clause attached and not satisfied
     at level 0.  Marks the clause as attempted regardless of the result and
-    aborts as Unchanged when the propagation budget runs out.  The database
-    is not modified here; pair with `apply_outcome`.  Emits
-    ``("vivify", w, cid, kind)`` to the engine's recorder.
+    aborts as Unchanged once the probe has spent more than `VIVIFY_BUDGET`
+    propagations.  The database is not modified here; pair with
+    `apply_outcome`.  Emits ``("vivify", w, cid, kind)`` to the engine's
+    recorder.
     """
     assert engine.decision_level == 0, "vivification runs at decision level 0 only"
     assert engine.qhead == len(engine.trail), "pending propagation before vivify"
-    engine.stats.vivify_attempts += 1
+    stats = engine.stats
+    stats.vivify_attempts += 1
     clause.vivify_attempted = True
 
     engine._detach(clause)
     engine._in_vivify = True
-    engine._vivify_props = 0
-    budget = engine.cfg.vivify_budget
+    start = stats.propagations_vivify
 
     lits = list(clause.lits)
     prefix = []
@@ -108,7 +110,7 @@ def vivify_clause(engine, clause):
             continue
         engine.assume(-l)
         confl = engine.propagate()
-        if engine._vivify_props > budget:
+        if stats.propagations_vivify - start > VIVIFY_BUDGET:
             result = (UNCHANGED, None, None)
             break
         if confl is not None:
@@ -124,7 +126,6 @@ def vivify_clause(engine, clause):
     engine._in_vivify = False
     engine.undo_probe_moves()
     engine._attach(clause)
-    props = engine._vivify_props
 
     if result is None:
         if len(prefix) < len(lits):
@@ -141,7 +142,7 @@ def vivify_clause(engine, clause):
         lbd = max(1, min(clause.lbd, len(new_lits), lbd or len(new_lits)))
     if engine.recorder is not None:
         engine.recorder(("vivify", engine.worker_id, clause.cid, kind))
-    return VivifyOutcome(kind, new_lits, props, lbd)
+    return VivifyOutcome(kind, new_lits, lbd)
 
 
 def apply_outcome(engine, clause, outcome):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from vivipar.cdcl import (SAT, UNSAT, UNKNOWN, Engine, EngineConfig, luby,
                           should_restart)
 from vivipar.exchange import SharedClause, SharedPool
@@ -44,9 +46,10 @@ def test_propagate_binary_implication_records_reason():
 
 
 def test_propagate_contradictory_units_conflict():
+    # contradictory input units make the engine UNSAT at construction
     eng = engine_for([[1], [-1]], 1)
-    assert eng.propagate() is not None
-    assert eng.solve() == UNSAT
+    assert eng.step() == UNSAT
+    assert eng.stats.propagations_total == 0
 
 
 def test_propagation_counter_attribution():
@@ -70,28 +73,45 @@ def test_analyze_unit_learned_at_level_one():
     assert lbd == 1
 
 
-def test_learned_clauses_implied_by_formula():
+def test_learned_clauses_implied_by_formula(engine_checks):
     # 200 random instances; every learned clause must be entailed by F
     for seed in range(200):
         f = gen_random_3sat(20, 85, seed)
         log = []
-        eng = Engine(f, EngineConfig(debug_checks=True), recorder=log.append)
+        eng = Engine(f, EngineConfig(), recorder=log.append)
         Strategy(NONE, eng)
-        eng.solve(conflict_limit=150)
+        eng.step(conflict_limit=150)
         learns = of_kind(log, "learn")
         words = models(f.num_vars, f.clauses)  # F |= C iff no model falsifies C
         for _, _, _, _, lits in learns:
             assert entails(words, lits), (seed, lits)
 
 
-def test_asserting_after_backtrack_debug_checks():
-    # debug assertions fire on every conflict; a clean run means every
-    # learned clause was falsified at the conflict level and asserting after
-    # the backjump
+def test_asserting_after_backtrack_debug_checks(engine_checks):
+    # the fixture's assertions fire on every conflict; a clean run means
+    # every learned clause was falsified at the conflict level and asserting
+    # after the backjump
     for seed in range(30):
         f = gen_random_3sat(15, 64, seed)
-        eng = Engine(f, EngineConfig(debug_checks=True))
-        assert eng.solve() in (SAT, UNSAT)
+        eng = Engine(f, EngineConfig())
+        assert eng.step() in (SAT, UNSAT)
+
+
+def test_engine_checks_fixture_is_active(engine_checks):
+    # the checks are live: storing a clause whose literals are all
+    # unassigned is not asserting, and analysing a conflict clause that is
+    # not falsified yields a learned clause that is not falsified either
+    eng = engine_for([[1, 2, 3]], 3)
+    with pytest.raises(AssertionError, match="not asserting"):
+        eng._learn([1, 2], 2)
+    eng = engine_for([], 3)
+    eng.assume(2)
+    eng.assume(1)
+    with pytest.raises(AssertionError, match="not falsified"):
+        eng.analyze_conflict(Clause([-1, 2]), bump=False)
+    eng.backtrack(0)
+    with pytest.raises(AssertionError, match="duplicate"):
+        eng._admit([2, 2, 1], 1)
 
 
 # ---------------------------------------------------------------- minimize
@@ -118,13 +138,13 @@ def test_minimize_self_subsuming_literal_removed():
     assert out == [2, -1]
 
 
-def test_minimized_clause_still_implied():
+def test_minimized_clause_still_implied(engine_checks):
     for seed in range(40):
         f = gen_random_3sat(16, 68, seed + 500)
         log = []
-        eng = Engine(f, EngineConfig(debug_checks=True), recorder=log.append)
+        eng = Engine(f, EngineConfig(), recorder=log.append)
         Strategy(NONE, eng)
-        eng.solve(conflict_limit=100)
+        eng.step(conflict_limit=100)
         for _, _, _, _, lits in of_kind(log, "learn"):
             assert implied(f.num_vars, f.clauses, lits)
 
@@ -261,36 +281,36 @@ def test_reduce_schedule_advances():
 
 def test_solve_unsat_simple():
     eng = engine_for([[1, 2], [-1], [-2]], 2)
-    assert eng.solve() == UNSAT
+    assert eng.step() == UNSAT
 
 
 def test_solve_sat_forced_literal():
     eng = engine_for([[1, 2], [-1, 2]], 2)
-    assert eng.solve() == SAT
+    assert eng.step() == SAT
     assert 2 in eng.model()  # b is forced in every model
 
 
-def test_solve_php_unsat():
+def test_solve_php_unsat(engine_checks):
     f = php(4, 3)
     assert brute_force(f)[0] == "UNSAT"
-    eng = Engine(f, EngineConfig(debug_checks=True))
-    assert eng.solve() == UNSAT
+    eng = Engine(f, EngineConfig())
+    assert eng.step() == UNSAT
 
 
 def test_solve_empty_clause_input():
     eng = Engine(Formula(1, (), contains_empty=True), EngineConfig())
-    assert eng.solve() == UNSAT
+    assert eng.step() == UNSAT
 
 
 def test_solve_conflict_limit_unknown():
     f = php(6, 5)
     eng = Engine(f, EngineConfig())
-    assert eng.solve(conflict_limit=3) == UNKNOWN
+    assert eng.step(conflict_limit=3) == UNKNOWN
 
 
-def test_step_pause_and_resume():
+def test_step_pause_and_resume(engine_checks):
     f = php(5, 4)
-    eng = Engine(f, EngineConfig(debug_checks=True))
+    eng = Engine(f, EngineConfig())
     paused = 0
     while True:
         st = eng.step(pause_after=5)
@@ -307,7 +327,7 @@ def test_watch_invariant_after_solve():
     for seed in range(20):
         f = gen_random_3sat(18, 76, seed)
         eng = Engine(f, EngineConfig())
-        eng.solve()
+        eng.step()
         eng.check_watches()
 
 
@@ -316,7 +336,7 @@ def test_oracle_equivalence_mini():
         n = random.Random(seed).randint(10, 22)
         f = gen_random_3sat(n, round(4.26 * n), seed + 123)
         eng = Engine(f, EngineConfig())
-        assert eng.solve() == brute_force(f)[0]
+        assert eng.step() == brute_force(f)[0]
 
 
 def test_vsids_rescale_preserves_order():
@@ -369,3 +389,30 @@ def test_lazy_import_one_watch_conflict_detection():
     eng.assume(3)
     confl = eng.propagate()
     assert confl is imported
+
+
+def test_check_watches_reports_stale_standby_entries():
+    # a one-watch list must hold only live one-watched clauses containing
+    # its literal, and no one-watched clause may sit on a two-watch list
+    pool = SharedPool(2)
+    eng = Engine(mk_formula(5, [[1, 2, 3, 4, 5]]), EngineConfig(), pool=pool,
+                 worker_id=0)
+    pool.broadcast(SharedClause(lits=(-1, -2, -3), lbd=5, origin=1))
+    assert eng.propagate() is None
+    assert eng._integrate_imports() == 1
+    standby = eng.learned_db[0]
+    assert standby.one_watched and eng.check_watches()
+    n = eng.num_vars
+
+    def planted(lst, c, match):
+        lst.append(c)
+        with pytest.raises(AssertionError, match=match):
+            eng.check_watches()
+        lst.pop()
+        assert eng.check_watches()
+
+    planted(eng.watches_one[4 + n], standby, "stale one-watch entry")
+    planted(eng.watches_one[1 + n], eng.originals[0], "two-watched .* one-watch list")
+    planted(eng.watches[-1 + n], standby, "one-watched .* two-watch list")
+    eng.remove_clause(standby)
+    planted(eng.watches_one[-1 + n], standby, "removed clause")

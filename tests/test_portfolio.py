@@ -111,8 +111,7 @@ def test_config_surface():
         "reduce_inc", "restart_window", "luby_unit", "recorder"]
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "restart_kind", "restart_window", "luby_unit", "var_decay",
-        "phase_init", "reduce_first", "reduce_inc", "vivify_budget",
-        "debug_checks"]
+        "phase_init", "reduce_first", "reduce_inc"]
     for name in vivipar.__all__:
         assert getattr(vivipar, name) is not None, name
     assert "ExportFilter" not in vivipar.__all__

@@ -220,7 +220,7 @@ def test_pcm_isolation_no_links_ever():
                                      restart_window=8), pool=pool, worker_id=0,
                      recorder=log.append)
         Strategy(PCM, eng)
-        eng.solve(conflict_limit=300)
+        eng.step(conflict_limit=300)
         for rec in pool.drain(1):
             assert rec.cid is None
     assert of_kind(log, "publish") == []
@@ -247,14 +247,14 @@ def test_none_mode_matches_bare_engine_traces():
 
         bare_events = []
         bare = Engine(f, EngineConfig(**cfg), recorder=bare_events.append)
-        status_bare = bare.solve()
+        status_bare = bare.step()
 
         pool = SharedPool(1)
         wired_events = []
         wired = Engine(f, EngineConfig(**cfg), pool=pool, worker_id=0,
                        recorder=wired_events.append)
         Strategy(NONE, wired)
-        status_wired = wired.solve()
+        status_wired = wired.step()
 
         assert status_bare == status_wired
         search = ("decide", "conflict", "restart")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vivipar import vivify
 from vivipar.cdcl import Engine, EngineConfig
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
@@ -221,7 +222,7 @@ def test_select_ties_broken_by_higher_activity():
 
 def test_apply_shortened_to_unit_enqueues_at_level_zero():
     eng, c = engine_with_clause([[1, 2, 3]], 5, [4, 5])
-    out = VivifyOutcome(SHORTENED, (4,), 0, None)
+    out = VivifyOutcome(SHORTENED, (4,), None)
     eng.stats.vivify_attempts += 1
     res = apply_outcome(eng, c, out)
     assert res is None
@@ -271,13 +272,15 @@ def test_level_discipline_asserted():
         vivify_clause(eng, c)
 
 
-def test_budget_aborts_as_unchanged():
+def test_budget_aborts_as_unchanged(monkeypatch):
+    monkeypatch.setattr(vivify, "VIVIFY_BUDGET", 5)
     chain = [[-i, i + 1] for i in range(1, 40)]
-    eng, c = engine_with_clause(chain, 45, [-1, 45], vivify_budget=5)
+    eng, c = engine_with_clause(chain, 45, [-1, 45])
+    before = eng.stats.propagations_vivify
     out = vivify_clause(eng, c)
     assert out.kind == UNCHANGED
     assert c.vivify_attempted
-    assert out.propagations_used > 5
+    assert eng.stats.propagations_vivify - before > 5
 
 
 def test_state_restoration_on_random_instances():
@@ -295,11 +298,10 @@ def test_state_restoration_on_random_instances():
             continue
         before = fingerprint(eng)
         props_before = eng.stats.propagations_total
-        out = vivify_clause(eng, cands[0])
+        vivify_clause(eng, cands[0])
         after = fingerprint(eng)
         assert before == after  # counters aside, the probe left no trace
         assert eng.stats.propagations_total >= props_before
-        assert eng.stats.propagations_vivify == out.propagations_used
         eng.check_watches()
 
 
@@ -311,7 +313,7 @@ def test_strict_progress_and_soundness_random():
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
                                      restart_window=8), recorder=log.append)
         Strategy(PCM, eng)
-        eng.solve(conflict_limit=400)
+        eng.step(conflict_limit=400)
         for _, _, old, new in of_kind(log, "replace"):
             total += 1
             assert len(new) < len(old)
