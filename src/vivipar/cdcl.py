@@ -14,8 +14,9 @@ propagate, which is sound because they are implied by the input formula.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .formula import Clause
 from .stats import Stats
@@ -124,11 +125,13 @@ class Engine:
         self.learned_db = []
         self._cid = 0
         self._terminal = None
+        self._limits = (None, None)  # stop signal and deadline of step()
 
-        self._in_vivify = False
-        # probe rollback records, see _propagate_probe and undo_probe_moves
+        # the clause a vivification probe is testing (None outside probes)
+        # and the probe's rollback records, see _propagate_probe
+        self._probing = None
         self._probe_swaps = []
-        self._probe_lists = {}
+        self._probe_parked = defaultdict(list)
 
         if formula.contains_empty:
             self._terminal = UNSAT
@@ -184,7 +187,7 @@ class Engine:
         saved_phase = self.saved_phase
         trail = self.trail
         mark = self.trail_lim[blevel]
-        save_phase = not self._in_vivify
+        save_phase = self._probing is None
         # each variable appears once on the trail, so the order is free
         for lit in trail[mark:]:
             v = lit if lit > 0 else -lit
@@ -207,41 +210,16 @@ class Engine:
         c.one_watched = True
         self.watches_one[wlit + self.num_vars].append(c)
 
-    def _detach(self, c):
-        n = self.num_vars
-        if c.one_watched:
-            for l in c.lits:
-                wl = self.watches_one[l + n]
-                if c in wl:
-                    wl.remove(c)
-                    return
-            raise AssertionError("one-watched clause not found in any watch list")
-        self.watches[c.lits[0] + n].remove(c)
-        self.watches[c.lits[1] + n].remove(c)
-
     def undo_probe_moves(self):
-        """Roll back every watch move made during a vivification probe.
-
-        Afterwards every clause has its pre-probe literal order again (so the
-        same watched positions), and every watch list holds the clauses it
-        held before the probe.  Order within a list is fixed too: a list the
-        probe processed keeps the residents that stayed, in their original
-        order, followed by the residents that moved out, in reverse order of
-        their moves; a list the probe only appended to is cut back to its
-        pre-probe contents.  No list is scanned: the literal swaps are
-        replayed in reverse, then each touched list is truncated and
-        extended once.
-        """
+        """Roll back a vivification probe's watch moves: replay its literal
+        swaps in reverse and drop its parked clauses.  Every clause then has
+        its pre-probe literal order again; the watch lists were never
+        written."""
         for c, a, b in reversed(self._probe_swaps):
             lits = c.lits
             lits[a], lits[b] = lits[b], lits[a]
-        for wl, keep, moved in self._probe_lists.values():
-            del wl[keep - len(moved):]
-            if moved:
-                moved.reverse()
-                wl.extend(moved)
         self._probe_swaps.clear()
-        self._probe_lists.clear()
+        self._probe_parked.clear()
 
     # ------------------------------------------------------------------
     # propagation
@@ -254,7 +232,7 @@ class Engine:
         work goes to `_propagate_probe`, which also attributes the
         propagations to vivification.
         """
-        if self._in_vivify:
+        if self._probing is not None:
             return self._propagate_probe()
         n = self.num_vars
         litval = self.litval
@@ -336,21 +314,24 @@ class Engine:
         return confl
 
     def _propagate_probe(self):
-        """`propagate` inside a vivification probe, recording its rollback.
+        """`propagate` inside a vivification probe, writing no watch list.
 
-        Inside one probe assignments only grow, so each falsified literal's
-        watch lists are processed at most once and nothing moves into them
-        afterwards.  That lets the rollback restore each list from two
-        records made here: its length before the probe first appended to it
-        or processed it, and the pre-probe residents that moved out of it.
+        A probe changes nothing but the engine's counters, so this kernel
+        leaves every watch list as it is.  A watch move swaps the falsified
+        watch, at position 0 or 1, with position k and parks the clause under
+        its new watch in ``_probe_parked`` (keyed by watch-list index, ``~i``
+        for the one-watch list ``i``).  A falsified literal's list is visited
+        before its parked clauses: the order in which a kernel that appends
+        moves to their target lists would visit them.  Inside one probe
+        assignments only grow, so a list is visited at most once and only
+        after every move into it; its stale entries, clauses that moved
+        away, sit in lists already visited.  The probed clause stays
+        attached and is skipped.
 
-        A watch move swaps the falsified watch, at position 0 or 1, straight
-        with position k.  Positions 2 and up thus hold what the search loop
-        would leave there, and positions 0 and 1 the same two literals,
-        maybe swapped.  They are put in search order (implied or other watch
-        at 0, falsified watch at 1) only when the clause becomes a reason or
-        the conflict: conflict analysis reads the literal order of no other
-        clause.  Every literal swap is logged for the rollback.
+        Positions 0 and 1 are put in search order (implied or other watch at
+        0, falsified watch at 1) only when the clause becomes a reason or the
+        conflict: conflict analysis reads the literal order of no other
+        clause.  Every literal swap is logged for `undo_probe_moves`.
         """
         n = self.num_vars
         litval = self.litval
@@ -360,8 +341,9 @@ class Engine:
         level = self.level
         reason = self.reason
         dl = self.decision_level
+        probed = self._probing
         swaps = self._probe_swaps
-        touched = self._probe_lists  # key -> (list, pre-probe length, moved out)
+        parked = self._probe_parked
         confl = None
         nprops = 0
         qhead = self.qhead
@@ -372,95 +354,58 @@ class Engine:
             np_ = -p  # the falsified literal
             fidx = n - p
             wl = watches[fidx]
-            if wl:
-                rec = touched.get(fidx)
-                if rec is None:
-                    rec = touched[fidx] = (wl, len(wl), [])
-                _, keep, moved = rec
-                i = j = 0
-                end = len(wl)
-                while i < end:
-                    c = wl[i]
-                    i += 1
-                    lits = c.lits
-                    first = lits[0]
-                    if first == np_:
-                        first = lits[1]
-                        w = 0
-                    else:
-                        w = 1
-                    if litval[first + n] == 1:
-                        wl[j] = c
-                        j += 1
-                        continue
-                    for k in range(2, len(lits)):
-                        lk = lits[k]
-                        if litval[lk + n] != -1:
-                            lits[w] = lk
-                            lits[k] = np_
-                            swaps.append((c, w, k))
-                            t = lk + n
-                            tl = watches[t]
-                            if t not in touched:
-                                touched[t] = (tl, len(tl), [])
-                            tl.append(c)
-                            if i <= keep:
-                                moved.append(c)
-                            break
-                    else:
-                        wl[j] = c
-                        j += 1
-                        if w == 0:
-                            lits[0] = first
-                            lits[1] = np_
-                            swaps.append((c, 0, 1))
-                        if litval[first + n] == -1:
-                            while i < end:
-                                wl[j] = wl[i]
-                                j += 1
-                                i += 1
-                            confl = c
-                            break
-                        # unit: lits[0] is implied
-                        litval[first + n] = 1
-                        litval[n - first] = -1
-                        v = first if first > 0 else -first
-                        level[v] = dl
-                        reason[v] = c
-                        trail.append(first)
-                del wl[j:]
-                if confl is not None:
-                    break
+            if fidx in parked:
+                wl = chain(wl, parked[fidx])
+            for c in wl:
+                if c is probed:
+                    continue
+                lits = c.lits
+                first = lits[0]
+                if first == np_:
+                    first = lits[1]
+                    w = 0
+                else:
+                    w = 1
+                if litval[first + n] == 1:
+                    continue
+                for k in range(2, len(lits)):
+                    lk = lits[k]
+                    if litval[lk + n] != -1:
+                        lits[w] = lk
+                        lits[k] = np_
+                        swaps.append((c, w, k))
+                        parked[lk + n].append(c)
+                        break
+                else:
+                    if w == 0:
+                        lits[0] = first
+                        lits[1] = np_
+                        swaps.append((c, 0, 1))
+                    if litval[first + n] == -1:
+                        confl = c
+                        break
+                    # unit: lits[0] is implied
+                    litval[first + n] = 1
+                    litval[n - first] = -1
+                    v = first if first > 0 else -first
+                    level[v] = dl
+                    reason[v] = c
+                    trail.append(first)
+            if confl is not None:
+                break
             ol = watches_one[fidx]
-            if ol:
-                key = ~fidx  # one-watch lists use negative keys
-                rec = touched.get(key)
-                if rec is None:
-                    rec = touched[key] = (ol, len(ol), [])
-                _, keep, moved = rec
-                i = j = 0
-                end = len(ol)
-                while i < end:
-                    c = ol[i]
-                    i += 1
-                    for lk in c.lits:
-                        if lk != np_ and litval[lk + n] != -1:
-                            t = lk + n
-                            tl = watches_one[t]
-                            if ~t not in touched:
-                                touched[~t] = (tl, len(tl), [])
-                            tl.append(c)
-                            if i <= keep:
-                                moved.append(c)
-                            break
-                    else:
-                        ol[j] = c
-                        j += 1
-                        if confl is None:
-                            confl = c
-                del ol[j:]
-                if confl is not None:
-                    break
+            if ~fidx in parked:
+                ol = chain(ol, parked[~fidx])
+            for c in ol:
+                for lk in c.lits:
+                    if lk != np_ and litval[lk + n] != -1:
+                        parked[~(lk + n)].append(c)
+                        break
+                else:
+                    if confl is None:
+                        confl = c
+            if confl is not None:
+                break
         self.qhead = qhead
         stats = self.stats
         stats.propagations_total += nprops
@@ -746,7 +691,18 @@ class Engine:
 
     def remove_clause(self, c):
         """Detach and drop a clause: satisfied at level 0, replaced or reduced."""
-        self._detach(c)
+        n = self.num_vars
+        if c.one_watched:
+            for l in c.lits:
+                wl = self.watches_one[l + n]
+                if c in wl:
+                    wl.remove(c)
+                    break
+            else:
+                raise AssertionError("one-watched clause not found in any watch list")
+        else:
+            self.watches[c.lits[0] + n].remove(c)
+            self.watches[c.lits[1] + n].remove(c)
         c.removed = True
         v0 = abs(c.lits[0])
         if self.reason[v0] is c:  # level-0 reasons may dangle otherwise
@@ -786,16 +742,26 @@ class Engine:
         return should_restart(self.cfg, self.lbd_window, mean,
                               self._since_restart, self.stats.restarts + 1)
 
+    def interrupted(self):
+        """True once the stop signal of the running `step` is set or its
+        deadline has passed; the hooks test it between vivifications."""
+        stop, deadline = self._limits
+        return ((stop is not None and stop.is_set())
+                or (deadline is not None and time.monotonic() >= deadline))
+
     def step(self, pause_after=None, stop=None, deadline=None, conflict_limit=None):
         """Run the search loop: the engine's one entry point.
 
         Returns SAT/UNSAT on a definitive answer, UNKNOWN when the stop
         signal, deadline, or conflict limit fires, and None when
         ``pause_after`` conflicts elapsed in this step (resumable).  With
-        ``pause_after=None`` it runs to an answer or a budget.
+        ``pause_after=None`` it runs to an answer or a budget.  The stop
+        signal and deadline are tested before each decision and, through
+        `interrupted`, between the clauses of a vivification pass.
         """
         if self._terminal is not None:
             return self._terminal
+        self._limits = (stop, deadline)
         stats = self.stats
         start_conflicts = stats.conflicts
         while True:
@@ -853,11 +819,8 @@ class Engine:
                 else:
                     self.reduce_db()
                 continue
-            if stop is not None and stop.is_set():
-                return UNKNOWN
-            if conflict_limit is not None and stats.conflicts >= conflict_limit:
-                return UNKNOWN
-            if deadline is not None and time.monotonic() >= deadline:
+            if self.interrupted() or (conflict_limit is not None
+                                      and stats.conflicts >= conflict_limit):
                 return UNKNOWN
             if pause_after is not None and stats.conflicts - start_conflicts >= pause_after:
                 return None

@@ -83,7 +83,9 @@ def read_csv(path):
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        assert reader.fieldnames == CSV_COLUMNS, "unexpected CSV schema"
+        if reader.fieldnames != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV schema: expected columns "
+                             f"{CSV_COLUMNS}, found {reader.fieldnames}")
         for row in reader:
             records.append(RunRecord(
                 row["instance"], row["mode"], int(row["workers"]), row["status"],

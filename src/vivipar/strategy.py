@@ -143,9 +143,12 @@ class Strategy:
         return out
 
     def _flush_withheld(self):
-        """Vivify every withheld clause, export its final form, unprotect."""
+        """Vivify every withheld clause, export its final form, unprotect.
+        An interrupted step leaves the rest withheld."""
         eng = self.engine
         while self.ecm_withheld:
+            if eng.interrupted():
+                return
             c = self.ecm_withheld.popleft()
             c.protected = False
             out = self._vivify(c)
@@ -157,10 +160,15 @@ class Strategy:
                 return
 
     def _vivify_and_reduce(self):
-        """PCM/LPCM: vivify the candidate set, then reduce the database."""
+        """PCM/LPCM: vivify the candidate set, then reduce the database.
+        An interrupted step ends the pass early and leaves the reduction
+        pending."""
         self.reduce_pending = False
         eng = self.engine
         for c in select_candidates(eng.learned_db):
+            if eng.interrupted():
+                self.reduce_pending = True
+                return
             out = self._vivify(c)
             if (self.mode.kind == "lpcm" and out is not None and out.success
                     and c.link is not None):

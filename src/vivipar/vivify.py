@@ -9,19 +9,9 @@ and propagated.  Three things can happen:
   clause shrinks to the processed prefix plus that literal;
 * a literal is already false without having been assumed: it is dropped.
 
-The probe leaves the engine exactly as it found it: the clause is detached
-while probing so it cannot propagate against itself, heuristic bumps are
-suppressed, phases are not saved, and every watch move is rolled back.
-Only the propagation counters survive.
-
-Rollback contract (`Engine.undo_probe_moves`): every clause gets back its
-pre-probe literal order, so it watches the same literals at the same
-positions, and every watch list holds the same clauses as before.  A list the
-probe processed keeps the residents that stayed, in their original order,
-followed by the residents that moved out, in reverse order of their moves.
-The probed clause is re-attached at the end of its two watch lists.  The
-order is part of the deterministic behaviour: later propagation visits
-clauses in list order.
+A probe changes nothing but the engine's counters and the clause's attempted
+flag: every watch list keeps its clauses in their order, every clause its
+literal order, and the heuristics (activities, phases) are not touched.
 """
 
 from __future__ import annotations
@@ -75,10 +65,10 @@ def satisfied_at_root(engine, clause):
 def vivify_clause(engine, clause):
     """Probe one clause at decision level 0 and report the outcome.
 
-    Preconditions: no pending propagation, clause attached and not satisfied
-    at level 0.  Marks the clause as attempted regardless of the result and
-    aborts as Unchanged once the probe has spent more than `VIVIFY_BUDGET`
-    propagations.  The database is not modified here; pair with
+    Preconditions: no pending propagation, clause two-watched and not
+    satisfied at level 0.  Marks the clause as attempted regardless of the
+    result and aborts as Unchanged once the probe has spent more than
+    `VIVIFY_BUDGET` propagations.  The database is not modified here; pair with
     `apply_outcome`.  Emits ``("vivify", w, cid, kind)`` to the engine's
     recorder.
     """
@@ -88,8 +78,8 @@ def vivify_clause(engine, clause):
     stats.vivify_attempts += 1
     clause.vivify_attempted = True
 
-    engine._detach(clause)
-    engine._in_vivify = True
+    assert not clause.one_watched, "vivification probes two-watched clauses only"
+    engine._probing = clause
     start = stats.propagations_vivify
 
     lits = list(clause.lits)
@@ -123,9 +113,8 @@ def vivify_clause(engine, clause):
         prefix.append(l)
 
     engine.backtrack(0)
-    engine._in_vivify = False
+    engine._probing = None
     engine.undo_probe_moves()
-    engine._attach(clause)
 
     if result is None:
         if len(prefix) < len(lits):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import vivipar.strategy
 from vivipar.cdcl import Engine
 from vivipar.formula import Formula, check_meta, normalize_clause
 
@@ -37,14 +38,29 @@ def of_kind(events, kind):
     return [e for e in events if e[0] == kind]
 
 
+def fingerprint(eng):
+    """Everything a vivification probe must leave as it found it: the
+    assignment, the heuristics, every watch list in order (as cids) and
+    every clause's literal list, LBD and activity."""
+    return (list(eng.trail), list(eng.litval),
+            [r if r is None else r.cid for r in eng.reason], eng.qhead,
+            list(eng.activity), list(eng.saved_phase), eng.var_inc, eng.cla_inc,
+            [[c.cid for c in wl] for wl in eng.watches],
+            [[c.cid for c in wl] for wl in eng.watches_one],
+            {c.cid: (list(c.lits), c.lbd, c.activity)
+             for c in eng.originals + eng.learned_db})
+
+
 @pytest.fixture
 def engine_checks(monkeypatch):
     """Every Engine in the test runs the per-conflict invariant checks: the
     learned clause is falsified after analysis (in probes too), it is
     asserting when `_learn` stores it (every literal but the first is false,
     the first unassigned), and every clause `_learn` or `_admit` makes passes
-    `check_meta`."""
+    `check_meta`.  Every vivification probe a `Strategy` makes leaves the
+    engine's `fingerprint` as it found it."""
     analyze, learn, admit = Engine.analyze_conflict, Engine._learn, Engine._admit
+    vivify_clause = vivipar.strategy.vivify_clause
 
     def analyze_conflict(self, confl, bump=True):
         out = analyze(self, confl, bump)
@@ -65,6 +81,13 @@ def engine_checks(monkeypatch):
             check_meta(c)
         return c
 
+    def checked_vivify_clause(engine, clause):
+        before = fingerprint(engine)
+        out = vivify_clause(engine, clause)
+        assert fingerprint(engine) == before, "vivification probe left a trace"
+        return out
+
     monkeypatch.setattr(Engine, "analyze_conflict", analyze_conflict)
     monkeypatch.setattr(Engine, "_learn", _learn)
     monkeypatch.setattr(Engine, "_admit", _admit)
+    monkeypatch.setattr(vivipar.strategy, "vivify_clause", checked_vivify_clause)

@@ -8,11 +8,19 @@ says so.
 
 Every case runs 2 workers round-robin with a small conflict quantum, so both
 workers search, share clauses and (with an early first reduction) vivify.
+
+To re-record, run ``PYTHONPATH=src python tests/test_fingerprint.py`` from
+the repository root: it prints `GOLDEN`, `GOLDEN_EVENTS` and `GOLDEN_CSV`
+for the current tree as the source literals of this file.
 """
 
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
 
@@ -53,11 +61,11 @@ GOLDEN = {
         (1034, 0, 0, 0, 0, 91, 69, 60, 0, 0, 0, 1, 91, 0),
     )),
     ('php65', 'pcm'): ('UNSAT', 1, (
-        (1712, 520, 26, 10, 26, 100, 71, 48, 0, 0, 2, 1, 100, 0),
+        (1711, 519, 26, 10, 26, 100, 71, 48, 0, 0, 2, 1, 100, 0),
         (1554, 471, 25, 12, 25, 95, 73, 66, 0, 0, 0, 1, 95, 0),
     )),
     ('php65', 'lpcm'): ('UNSAT', 0, (
-        (1707, 520, 26, 10, 26, 97, 66, 57, 10, 0, 1, 1, 97, 0),
+        (1706, 519, 26, 10, 26, 97, 66, 57, 10, 0, 1, 1, 97, 0),
         (1432, 471, 25, 12, 25, 83, 72, 48, 11, 9, 0, 1, 83, 0),
     )),
     ('php65', 'ecm3'): ('UNSAT', 1, (
@@ -82,7 +90,7 @@ GOLDEN = {
         (453, 11, 1, 1, 3, 31, 28, 32, 1, 0, 0, 0, 31, 0),
     )),
     ('uf50-1', 'ecm3'): ('UNSAT', 1, (
-        (763, 69, 6, 6, 12, 54, 24, 10, 0, 0, 1, 1, 54, 0),
+        (760, 66, 6, 6, 12, 54, 24, 10, 0, 0, 1, 1, 54, 0),
         (441, 0, 0, 0, 0, 36, 11, 11, 0, 0, 0, 1, 36, 0),
     )),
     ('uf50-1', 'ecm4'): ('UNSAT', 0, (
@@ -137,20 +145,20 @@ GOLDEN = {
         (9139, 0, 0, 0, 0, 721, 84, 80, 0, 0, 5, 2, 721, 0),
     )),
     ('php76', 'pcm'): ('UNSAT', 1, (
-        (14917, 5411, 205, 93, 184, 720, 130, 103, 0, 0, 13, 2, 720, 0),
-        (13820, 4950, 201, 93, 242, 686, 130, 124, 0, 0, 5, 2, 686, 0),
+        (14655, 5417, 205, 93, 186, 719, 122, 107, 0, 0, 13, 2, 719, 0),
+        (13820, 4985, 202, 95, 252, 691, 124, 113, 0, 0, 5, 2, 691, 0),
     )),
-    ('php76', 'lpcm'): ('UNSAT', 0, (
-        (14241, 4629, 176, 79, 164, 724, 114, 113, 23, 3, 13, 2, 724, 0),
-        (14274, 5071, 209, 82, 169, 715, 119, 108, 24, 21, 5, 2, 715, 0),
+    ('php76', 'lpcm'): ('UNSAT', 1, (
+        (14028, 4617, 176, 78, 163, 724, 93, 99, 22, 3, 13, 2, 724, 0),
+        (14302, 5071, 209, 82, 170, 716, 131, 91, 24, 20, 5, 2, 716, 0),
     )),
     ('php76', 'ecm3'): ('UNSAT', 1, (
-        (9506, 549, 20, 5, 8, 715, 95, 80, 0, 0, 12, 2, 715, 0),
-        (9630, 780, 37, 14, 26, 698, 104, 87, 0, 0, 5, 2, 698, 0),
+        (9630, 621, 24, 6, 9, 712, 95, 106, 0, 0, 13, 2, 712, 0),
+        (9875, 925, 44, 15, 28, 701, 118, 90, 0, 0, 5, 2, 701, 0),
     )),
     ('php76', 'ecm4'): ('UNSAT', 0, (
-        (11571, 1632, 64, 17, 48, 783, 68, 116, 0, 0, 13, 2, 783, 0),
-        (12959, 3214, 116, 34, 74, 778, 116, 64, 0, 0, 5, 2, 778, 0),
+        (11461, 1388, 55, 16, 33, 772, 58, 114, 0, 0, 12, 2, 772, 0),
+        (12272, 3205, 116, 36, 78, 712, 116, 55, 0, 0, 5, 2, 712, 0),
     )),
 }
 
@@ -159,17 +167,19 @@ def test_stats_field_order():
     assert tuple(f.name for f in dataclasses.fields(Stats)) == STATS_FIELDS
 
 
+def observed(case, mode):
+    """(status, winner, per-worker counters) of one fingerprint run."""
+    make, knobs = CASES[case]
+    res = run(make(), PortfolioConfig(
+        num_workers=2, lcm=mode_from_label(mode), deterministic=True, **knobs))
+    return (res.status, res.winner,
+            tuple(dataclasses.astuple(s) for s in res.worker_stats))
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_deterministic_fingerprint(case):
-    make, knobs = CASES[case]
-    formula = make()
     for mode in MODES:
-        res = run(formula, PortfolioConfig(
-            num_workers=2, lcm=mode_from_label(mode), deterministic=True,
-            **knobs))
-        got = (res.status, res.winner,
-               tuple(dataclasses.astuple(s) for s in res.worker_stats))
-        assert got == GOLDEN[case, mode], f"{case} {mode}"
+        assert observed(case, mode) == GOLDEN[case, mode], f"{case} {mode}"
 
 
 @pytest.mark.parametrize("case", ["php65", "uf50-1", "php76"])
@@ -208,16 +218,23 @@ GOLDEN_EVENTS = {
 }
 
 
-@pytest.mark.parametrize("mode", list(GOLDEN_EVENTS))
-def test_event_stream_fingerprint(mode):
+def event_run(mode):
+    """The PHP(6,5) run's result, its whole event stream, and the (counts,
+    digest) of its sharing and vivification events."""
     events = []
     res = run(php(6, 5), PortfolioConfig(
         num_workers=2, lcm=mode_from_label(mode), deterministic=True,
         recorder=events.append, **SMALL))
     sharing = [e for e in events if e[0] in SHARING_EVENTS]
-    counts, digest = GOLDEN_EVENTS[mode]
-    assert dict(collections.Counter(e[0] for e in sharing)) == counts
-    assert hashlib.sha256(repr(sharing).encode()).hexdigest() == digest
+    counts = dict(collections.Counter(e[0] for e in sharing))
+    digest = hashlib.sha256(repr(sharing).encode()).hexdigest()
+    return res, events, (counts, digest)
+
+
+@pytest.mark.parametrize("mode", list(GOLDEN_EVENTS))
+def test_event_stream_fingerprint(mode):
+    res, events, got = event_run(mode)
+    assert got == GOLDEN_EVENTS[mode]
     # the engine's own events agree with its counters
     for w, ws in enumerate(res.worker_stats):
         mine = collections.Counter(e[0] for e in events if e[1] == w)
@@ -238,10 +255,73 @@ GOLDEN_CSV = (
 )
 
 
-def test_stats_csv_fingerprint(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "php65.cnf").write_text(to_dimacs(php(6, 5)))
-    argv = ["php65.cnf", "--deterministic", "--threads", "2", "--lcm", "pcm",
-            "--stats-csv", "php65.csv"]
-    assert cli_main(argv) == 20
-    assert (tmp_path / "php65.csv").read_bytes() == GOLDEN_CSV
+def stats_csv():
+    """The bytes the CLI run above writes, run in a scratch directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        os.chdir(tmp)
+        try:
+            with open("php65.cnf", "w") as fh:
+                fh.write(to_dimacs(php(6, 5)))
+            argv = ["php65.cnf", "--deterministic", "--threads", "2",
+                    "--lcm", "pcm", "--stats-csv", "php65.csv"]
+            assert cli_main(argv) == 20
+            with open("php65.csv", "rb") as fh:
+                return fh.read()
+        finally:
+            os.chdir(cwd)
+
+
+def test_stats_csv_fingerprint():
+    assert stats_csv() == GOLDEN_CSV
+
+
+# ------------------------------------------------------------ re-recording
+
+WIDTH = 80  # the printer breaks lines to stay within this many columns
+
+
+def packed(head, items, indent, close=""):
+    """Source lines that start with ``head``, then ``indent``, hold the
+    ``items`` in order and each end with ``close``; a line breaks between
+    two items when the next would pass `WIDTH`."""
+    lines, line = [], head
+    for item in items:
+        if line != head and len((line + item).rstrip() + close) > WIDTH:
+            lines.append(line.rstrip() + close)
+            line = indent
+        line += item
+    return lines + [line.rstrip() + close]
+
+
+def golden_source():
+    """`GOLDEN`, `GOLDEN_EVENTS` and `GOLDEN_CSV` of the current tree, as
+    the source literals of this file."""
+    out = ["GOLDEN = {"]
+    for case in CASES:
+        out.append(f"    # {case}")
+        for mode in MODES:
+            status, winner, workers = observed(case, mode)
+            out.append(f"    {(case, mode)!r}: ({status!r}, {winner!r}, (")
+            out += [f"        {w!r}," for w in workers]
+            out.append("    )),")
+    out += ["}", "", "", "GOLDEN_EVENTS = {"]
+    for mode in GOLDEN_EVENTS:
+        counts, digest = event_run(mode)[2]
+        items = [f'"{k}": {v}, ' for k, v in sorted(counts.items())]
+        items[-1] = items[-1][:-2] + "},"
+        out += packed(f'    "{mode}": ({{', items, " " * 14)
+        out.append(f'             "{digest}"),')
+    out += ["}", "", "", "GOLDEN_CSV = ("]
+    header, *rows = stats_csv().decode().split("\r\n")[:-1]
+    fields = [f + "," for f in header.split(",")]
+    fields[-1] = fields[-1][:-1] + "\\r\\n"
+    out += packed('    b"', fields, '    b"', close='"')
+    out += [f'    b"{row}\\r\\n"' for row in rows]
+    out.append(")")
+    return "\n".join(out)
+
+
+if __name__ == "__main__":
+    print(golden_source())

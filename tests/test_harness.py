@@ -75,6 +75,15 @@ def test_csv_roundtrip(tmp_path):
     assert read_csv(path) == records
 
 
+def test_csv_read_rejects_wrong_header(tmp_path):
+    # a schema error, not a KeyError, also under python -O
+    path = tmp_path / "wrong.csv"
+    path.write_text("a,b\r\n1,2\r\n")
+    with pytest.raises(ValueError, match=r"expected columns \['instance'.*"
+                                         r"found \['a', 'b'\]"):
+        read_csv(path)
+
+
 # ---------------------------------------------------------------- CLI
 
 @pytest.fixture

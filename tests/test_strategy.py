@@ -1,10 +1,15 @@
-from vivipar.cdcl import Engine, EngineConfig, SAT
+import threading
+
+import pytest
+
+from vivipar import cdcl
+from vivipar.cdcl import Engine, EngineConfig, SAT, UNKNOWN
 from vivipar.exchange import SharedPool
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.strategy import LPCM, NONE, PCM, Strategy, ecm, mode_from_label
 
-from conftest import mk_formula, of_kind
+from conftest import mk_formula, of_kind, php
 
 
 def wire(mode, f_clauses=(), num_vars=8, num_workers=2, worker=0, log=None,
@@ -209,6 +214,38 @@ def test_lpcm_publish_and_importer_adoption():
     assert [set(x.lits) for x in live] == [{2, 3}]
     assert copy.removed  # the unimproved copy is gone
     eng_b.check_watches()
+
+
+@pytest.mark.parametrize("limit", ["stop", "deadline"])
+@pytest.mark.parametrize("label", ["pcm", "ecm4"])
+def test_stop_and_deadline_interrupt_a_vivification_pass(label, limit,
+                                                         monkeypatch):
+    # the stop signal is set, or the deadline passes, during the first
+    # probe; the pass ends before the second, and an interrupted PCM pass
+    # leaves its reduction pending
+    probed = threading.Event()
+    log = []
+
+    def recorder(event):
+        log.append(event)
+        if event[0] == "vivify":
+            probed.set()
+
+    if limit == "stop":
+        limits = dict(stop=probed)
+    else:
+        limits = dict(deadline=1.0)
+        monkeypatch.setattr(cdcl.time, "monotonic",
+                            lambda: 2.0 if probed.is_set() else 0.0)
+    eng = Engine(php(8, 7), EngineConfig(reduce_first=100), recorder=recorder)
+    strat = Strategy(mode_from_label(label), eng)
+    assert eng.step(**limits) == UNKNOWN
+    assert len(of_kind(log, "vivify")) == eng.stats.vivify_attempts == 1
+    if label == "pcm":
+        assert strat.reduce_pending and eng.stats.reductions == 0
+    else:
+        assert strat.ecm_withheld  # the rest stay withheld and protected
+        assert all(c.protected for c in strat.ecm_withheld)
 
 
 def test_pcm_isolation_no_links_ever():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vivipar import vivify
+from vivipar import strategy, vivify
 from vivipar.cdcl import Engine, EngineConfig
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
@@ -12,7 +12,7 @@ from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             VivifyOutcome, apply_outcome, satisfied_at_root,
                             select_candidates, vivify_clause)
 
-from conftest import mk_formula, of_kind
+from conftest import fingerprint, mk_formula, of_kind
 
 
 def engine_with_clause(f_clauses, num_vars, clause_lits, **cfg):
@@ -25,18 +25,6 @@ def engine_with_clause(f_clauses, num_vars, clause_lits, **cfg):
     eng.learned_db.append(c)
     eng._attach(c)
     return eng, c
-
-
-def fingerprint(eng):
-    """Everything vivify_clause must leave untouched."""
-    watches = {i: sorted(c.cid for c in wl) for i, wl in enumerate(eng.watches) if wl}
-    watches1 = {i: sorted(c.cid for c in wl)
-                for i, wl in enumerate(eng.watches_one) if wl}
-    positions = {c.cid: (c.lits[0], c.lits[1])
-                 for c in eng.originals + eng.learned_db
-                 if not c.removed and len(c.lits) >= 2 and not c.one_watched}
-    return (list(eng.trail), list(eng.activity), list(eng.saved_phase),
-            eng.var_inc, eng.cla_inc, watches, watches1, positions)
 
 
 # ------------------------------------------------------------ spec examples
@@ -77,12 +65,11 @@ def test_vivify_conflict_replacement():
     assert implied(3, [(1, 2), (1, -2), (1, 3)], out.new_lits)
 
 
-# ------------------------------------------------------------ rollback order
+# ------------------------------------------------------------ rollback
 #
 # Watch-list order decides the order of later propagation, so it is part of
-# the deterministic behaviour.  The rollback contract (see vivify.py) fixes
-# it: each list keeps the residents that stayed, in their original order,
-# followed by the residents that moved out, in reverse order.
+# the deterministic behaviour.  A probe leaves every list, order included,
+# and every clause's literal order exactly as it found them.
 
 
 def engine_with_lists(num_vars, two_watched, one_watched=()):
@@ -106,25 +93,28 @@ def engine_with_lists(num_vars, two_watched, one_watched=()):
     return eng, added
 
 
-def watch_orders(eng):
-    """Non-empty watch lists as {literal: [cid, ...]} in list order."""
-    n = eng.num_vars
-    two = {i - n: [c.cid for c in wl] for i, wl in enumerate(eng.watches) if wl}
-    one = {i - n: [c.cid for c in wl] for i, wl in enumerate(eng.watches_one) if wl}
-    return two, one
-
-
 def probe_and_check(eng, clause, kind):
-    """Vivify ``clause`` and check that the probe left no trace beyond the
-    documented list order; returns the post-probe watch orders."""
+    """Vivify ``clause``, check the outcome kind and that the probe left the
+    engine's `fingerprint` as it found it.  Returns the probe's watch moves,
+    read just before its rollback, as {new watch: [cid, ...]} for the
+    two-watch and the one-watch lists."""
+    n = eng.num_vars
+    moves = []
+    undo = eng.undo_probe_moves
+
+    def undo_probe_moves():
+        parked = eng._probe_parked
+        moves.append({i - n: [c.cid for c in wl] for i, wl in parked.items() if i >= 0})
+        moves.append({~i - n: [c.cid for c in wl] for i, wl in parked.items() if i < 0})
+        undo()
+
+    eng.undo_probe_moves = undo_probe_moves
     before = fingerprint(eng)
-    lits_before = {c.cid: list(c.lits) for c in eng.learned_db}
     out = vivify_clause(eng, clause)
     assert out.kind == kind
     assert fingerprint(eng) == before
-    assert {c.cid: list(c.lits) for c in eng.learned_db} == lits_before
     eng.check_watches()
-    return watch_orders(eng)
+    return moves
 
 
 def test_rollback_clause_moved_twice_into_falsified_list():
@@ -134,8 +124,7 @@ def test_rollback_clause_moved_twice_into_falsified_list():
         [1, 5, 6, 7], [2, -6], [1, 8], [1, 9, 10], [9, 1, 11],
         [6, 12], [6, 13, 14], [13, 6, 15], [1, 2, 3]])
     two, one = probe_and_check(eng, cl[-1], UNCHANGED)
-    assert two == {-6: [2], 1: [3, 5, 4, 1, 9], 2: [2, 9], 5: [1],
-                   6: [6, 8, 7], 8: [3], 9: [4, 5], 12: [6], 13: [7, 8]}
+    assert two == {6: [1], 10: [4], 11: [5], 14: [7], 15: [8], 7: [1]}
     assert one == {}
 
 
@@ -146,8 +135,7 @@ def test_rollback_conflict_mid_watch_list():
         [1, -22], [1, 20, 21], [1, 22], [1, 23, 24], [25, 1], [21, 26],
         [1, 3, 4]])
     two, one = probe_and_check(eng, cl[-1], CONFLICT_REPLACED)
-    assert two == {-22: [1], 1: [1, 3, 4, 5, 2, 7], 3: [7], 20: [2],
-                   21: [6], 22: [3], 23: [4], 25: [5], 26: [6]}
+    assert two == {21: [2]}
     assert one == {}
 
 
@@ -157,8 +145,8 @@ def test_rollback_one_watch_relocation():
     eng, cl = engine_with_lists(40, [[1, 30, 36]], [
         ([1, 30, 31], 0), ([32, 1, 33], 1), ([30, 35], 0), ([1, 37], 0)])
     two, one = probe_and_check(eng, cl[0], UNCHANGED)
-    assert two == {1: [1], 30: [1]}
-    assert one == {1: [5, 3, 2], 30: [4]}
+    assert two == {}
+    assert one == {30: [2], 32: [3], 37: [5], 35: [4], 31: [2]}
 
 
 def test_rollback_one_watch_conflict_keeps_scanning():
@@ -167,8 +155,8 @@ def test_rollback_one_watch_conflict_keeps_scanning():
     eng, cl = engine_with_lists(45, [[2, -22], [2, 1, 3]], [
         ([1, 40, 41], 0), ([1, 22], 0), ([1, 42], 0), ([40, 43], 0)])
     two, one = probe_and_check(eng, cl[1], CONFLICT_REPLACED)
-    assert two == {-22: [1], 1: [2], 2: [1, 2]}
-    assert one == {1: [4, 5, 3], 40: [6]}
+    assert two == {}
+    assert one == {40: [3], 42: [5]}
 
 
 # ------------------------------------------------------------ selection
@@ -272,6 +260,16 @@ def test_level_discipline_asserted():
         vivify_clause(eng, c)
 
 
+def test_engine_checks_catch_a_probe_that_leaves_a_trace(engine_checks,
+                                                        monkeypatch):
+    # assuming -4 moves the watch of (4 7 8) from 4 to 8; without the
+    # rollback that literal swap stays behind
+    eng, c = engine_with_clause([[4, 7, 8]], 8, [4, 5, 6])
+    monkeypatch.setattr(Engine, "undo_probe_moves", lambda self: None)
+    with pytest.raises(AssertionError, match="left a trace"):
+        strategy.vivify_clause(eng, c)
+
+
 def test_budget_aborts_as_unchanged(monkeypatch):
     monkeypatch.setattr(vivify, "VIVIFY_BUDGET", 5)
     chain = [[-i, i + 1] for i in range(1, 40)]
@@ -284,8 +282,11 @@ def test_budget_aborts_as_unchanged(monkeypatch):
 
 
 def test_state_restoration_on_random_instances():
+    # uf50-class instances, which 40 conflicts mostly leave unsolved, so
+    # that the probes run
+    probed = 0
     for seed in range(25):
-        f = gen_random_3sat(20, 85, seed + 900)
+        f = gen_random_3sat(50, 213, seed + 900)
         eng = Engine(f, EngineConfig())
         if eng.step(pause_after=40) is not None:
             continue  # solved inside the warmup budget
@@ -303,6 +304,8 @@ def test_state_restoration_on_random_instances():
         assert before == after  # counters aside, the probe left no trace
         assert eng.stats.propagations_total >= props_before
         eng.check_watches()
+        probed += 1
+    assert probed >= 10
 
 
 def test_strict_progress_and_soundness_random():
