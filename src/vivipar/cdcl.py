@@ -253,44 +253,62 @@ class Engine:
             # Compact in place: entries kept are written back to wl[:j], the
             # ones that moved to another list are dropped.  A move never
             # appends to wl itself (its target literal is not false).
+            # Most clauses are short, so position 2 is tried inline and the
+            # scan from position 3 runs only for clauses of 4+ literals.
             j = moved = 0
             for c in wl:
                 lits = c.lits
-                if lits[0] == np_:
-                    lits[0] = lits[1]
-                    lits[1] = np_
                 first = lits[0]
+                if first == np_:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = np_
                 if litval[first + n] == 1:
                     wl[j] = c
                     j += 1
                     continue
-                for k in range(2, len(lits)):
-                    lk = lits[k]
+                size = len(lits)
+                if size > 2:
+                    lk = lits[2]
                     if litval[lk + n] != -1:
                         lits[1] = lk
-                        lits[k] = np_
+                        lits[2] = np_
                         watches[lk + n].append(c)
                         moved += 1
-                        break
-                else:
-                    wl[j] = c
-                    j += 1
-                    if litval[first + n] == -1:
-                        confl = c
-                        break
-                    # unit: lits[0] is implied
-                    litval[first + n] = 1
-                    litval[n - first] = -1
-                    v = first if first > 0 else -first
-                    level[v] = dl
-                    reason[v] = c
-                    trail.append(first)
+                        continue
+                    if size > 3:
+                        for k in range(3, size):
+                            lk = lits[k]
+                            if litval[lk + n] != -1:
+                                lits[1] = lk
+                                lits[k] = np_
+                                watches[lk + n].append(c)
+                                moved += 1
+                                break
+                        else:
+                            k = 0  # no replacement
+                        if k:
+                            continue
+                # no replacement watch: unit or conflict
+                wl[j] = c
+                j += 1
+                if litval[first + n] == -1:
+                    confl = c
+                    break
+                # unit: lits[0] is implied
+                litval[first + n] = 1
+                litval[n - first] = -1
+                v = first if first > 0 else -first
+                level[v] = dl
+                reason[v] = c
+                trail.append(first)
             if confl is not None:
                 # wl[j:j + moved] holds stale copies of visited entries; the
                 # unvisited rest must stay
                 del wl[j:j + moved]
                 break
-            del wl[j:]
+            if moved:
+                del wl[j:]
             # one-watch standby list: moves watches, detects full conflicts,
             # never propagates
             ol = watches_one[fidx]
@@ -368,29 +386,43 @@ class Engine:
                     w = 1
                 if litval[first + n] == 1:
                     continue
-                for k in range(2, len(lits)):
-                    lk = lits[k]
+                size = len(lits)
+                if size > 2:
+                    lk = lits[2]
                     if litval[lk + n] != -1:
                         lits[w] = lk
-                        lits[k] = np_
-                        swaps.append((c, w, k))
+                        lits[2] = np_
+                        swaps.append((c, w, 2))
                         parked[lk + n].append(c)
-                        break
-                else:
-                    if w == 0:
-                        lits[0] = first
-                        lits[1] = np_
-                        swaps.append((c, 0, 1))
-                    if litval[first + n] == -1:
-                        confl = c
-                        break
-                    # unit: lits[0] is implied
-                    litval[first + n] = 1
-                    litval[n - first] = -1
-                    v = first if first > 0 else -first
-                    level[v] = dl
-                    reason[v] = c
-                    trail.append(first)
+                        continue
+                    if size > 3:
+                        for k in range(3, size):
+                            lk = lits[k]
+                            if litval[lk + n] != -1:
+                                lits[w] = lk
+                                lits[k] = np_
+                                swaps.append((c, w, k))
+                                parked[lk + n].append(c)
+                                break
+                        else:
+                            k = 0  # no replacement
+                        if k:
+                            continue
+                # no replacement watch: unit or conflict
+                if w == 0:
+                    lits[0] = first
+                    lits[1] = np_
+                    swaps.append((c, 0, 1))
+                if litval[first + n] == -1:
+                    confl = c
+                    break
+                # unit: lits[0] is implied
+                litval[first + n] = 1
+                litval[n - first] = -1
+                v = first if first > 0 else -first
+                level[v] = dl
+                reason[v] = c
+                trail.append(first)
             if confl is not None:
                 break
             ol = watches_one[fidx]

@@ -8,6 +8,7 @@ model lines for satisfiable instances, and exit codes 10 (SAT), 20 (UNSAT),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import random
@@ -63,19 +64,24 @@ def make_record(instance, mode_label, workers, status, wall_seconds, stats):
 
 
 def emit_csv(records, path):
-    """Write header plus one row per record, stable column order,
-    percentages with two decimals."""
+    """Write header plus one row per record to the file ``path``."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow([
-                r.instance, r.mode, r.workers, r.status,
-                f"{r.wall_seconds:.3f}",
-                *(getattr(r, name) for name in COUNTERS),
-                f"{r.vivify_prop_pct:.2f}",
-                f"{r.success_rate:.4f}",
-            ])
+        write_csv(records, fh)
+
+
+def write_csv(records, fh):
+    """Write header plus one row per record to a text file opened with
+    ``newline=""``: stable column order, percentages with two decimals."""
+    w = csv.writer(fh)
+    w.writerow(CSV_COLUMNS)
+    for r in records:
+        w.writerow([
+            r.instance, r.mode, r.workers, r.status,
+            f"{r.wall_seconds:.3f}",
+            *(getattr(r, name) for name in COUNTERS),
+            f"{r.vivify_prop_pct:.2f}",
+            f"{r.success_rate:.4f}",
+        ])
 
 
 def read_csv(path):
@@ -171,21 +177,32 @@ def cli_main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
-          f"mode={mode.label}, workers={config.num_workers}"
-          f"{', deterministic' if config.deterministic else ''}")
-    try:
-        result = portfolio.run(formula, config)
-    except WorkerFault as e:
-        traceback.print_exception(e.__cause__, file=sys.stderr)
-        print(f"c {e}")
-        return 3
+    with contextlib.ExitStack() as stack:
+        # opened before the solve: a bad path fails as bad input does,
+        # not after the answer is found
+        stats_fh = None
+        if args.stats_csv:
+            try:
+                stats_fh = stack.enter_context(open(args.stats_csv, "w", newline=""))
+            except OSError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return 1
 
-    if args.stats_csv:
-        record = make_record(args.file, mode.label, config.num_workers,
-                             result.status, result.wall_seconds,
-                             result.aggregate())
-        emit_csv([record], args.stats_csv)
+        print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
+              f"mode={mode.label}, workers={config.num_workers}"
+              f"{', deterministic' if config.deterministic else ''}")
+        try:
+            result = portfolio.run(formula, config)
+        except WorkerFault as e:
+            traceback.print_exception(e.__cause__, file=sys.stderr)
+            print(f"c {e}")
+            return 3
+
+        if stats_fh is not None:
+            record = make_record(args.file, mode.label, config.num_workers,
+                                 result.status, result.wall_seconds,
+                                 result.aggregate())
+            write_csv([record], stats_fh)
 
     # run() has already verified a SAT model against the formula
     if result.status == SAT:

@@ -4,7 +4,7 @@ import pytest
 
 import vivipar.strategy
 from vivipar.cdcl import Engine
-from vivipar.formula import Formula, check_meta, normalize_clause
+from vivipar.formula import Clause, Formula, check_meta, normalize_clause
 
 
 def mk_formula(num_vars, clauses):
@@ -36,6 +36,38 @@ def of_kind(events, kind):
     """The events of one kind, in order, from a list used as the recorder
     (``recorder=events.append``)."""
     return [e for e in events if e[0] == kind]
+
+
+def watch_visit_engine(size, w, probed=False):
+    """Engine set up for one visit to the watch list of literal 1.
+
+    Three learned clauses over 12 variables are attached in the order
+    A = (1 10 11), C, B = (1 9), so the list is [A, C, B]; ``probed`` appends
+    P = (1 12) to it.  C has ``size`` literals: 1 at watch position ``w``,
+    2 at the other watch position, then 3, 4, ... in order.  Nothing is
+    assigned.  Returns the engine and the clauses by name."""
+    c_lits = [1, 2] if w == 0 else [2, 1]
+    c_lits += range(3, size + 1)
+    clauses = [("A", [1, 10, 11]), ("C", c_lits), ("B", [1, 9])]
+    if probed:
+        clauses.append(("P", [1, 12]))
+    eng = Engine(mk_formula(12, []))
+    named = {}
+    for name, lits in clauses:
+        eng._cid += 1
+        c = Clause(list(lits), lbd=2, learned=True, cid=eng._cid)
+        eng.learned_db.append(c)
+        eng._attach(c)
+        named[name] = c
+    return eng, named
+
+
+def lists_by_literal(eng, lists, named):
+    """{literal: clause names in list order} for the non-empty lists among
+    ``lists``, (watch-list index, clauses) pairs."""
+    name_of = {c.cid: name for name, c in named.items()}
+    return {i - eng.num_vars: "".join(name_of[c.cid] for c in wl)
+            for i, wl in lists if wl}
 
 
 def fingerprint(eng):

@@ -220,6 +220,23 @@ def test_cli_ecm_mode_label_in_csv(sat_file, tmp_path, capsys):
     assert records[0].status == "SAT"
 
 
+def test_cli_bad_stats_csv_path_exit_1_before_solving(sat_file, tmp_path, capsys,
+                                                      monkeypatch):
+    path, _ = sat_file
+    bad = tmp_path / "missing-dir" / "s.csv"
+
+    def no_solve(formula, config):
+        raise AssertionError("solved although the stats path cannot be written")
+
+    monkeypatch.setattr(vivipar.portfolio, "run", no_solve)
+    assert cli_main([path, "--deterministic", "--stats-csv", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(bad) in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not captured.out
+    assert not bad.parent.exists()
+
+
 def test_cli_seed_env_fallback(sat_file, tmp_path, capsys, monkeypatch):
     path, _ = sat_file
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,7 +12,8 @@ from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             VivifyOutcome, apply_outcome, satisfied_at_root,
                             select_candidates, vivify_clause)
 
-from conftest import fingerprint, mk_formula, of_kind
+from conftest import (fingerprint, lists_by_literal, mk_formula, of_kind,
+                      watch_visit_engine)
 
 
 def engine_with_clause(f_clauses, num_vars, clause_lits, **cfg):
@@ -157,6 +158,81 @@ def test_rollback_one_watch_conflict_keeps_scanning():
     two, one = probe_and_check(eng, cl[1], CONFLICT_REPLACED)
     assert two == {}
     assert one == {40: [3], 42: [5]}
+
+
+# One visit of the probe kernel to clause C, watched on 1 and 2, when 1 is
+# falsified (see `watch_visit_engine`: literal 1's list is [A, C, B, P], with
+# A = (1 10 11), B = (1 9) and P = (1 12) the probed clause).  The setup
+# matches `test_search_kernel_visit` in test_cdcl.py, with every assignment
+# made inside the probe.  The kernel writes the replacement watch where the
+# falsified one stood, so C's literals depend on that position; a reason or
+# conflict has the falsified watch at position 1.  Rows pin, after the
+# visit, C's literals for the falsified watch at position 0 and at position
+# 1, the parked table, the trail, the reasons and the conflict; the watch
+# lists stay as they were, and the rollback restores the engine.
+PROBE_VISITS = {
+    # id: (size, before, visit, C's literals (watch 0, watch 1), parked, trail,
+    #      reasons, conflict)
+    "2-true": (2, [2], [-1], ([1, 2], [2, 1]), {}, [9, 2, -1], {}, None),
+    "2-unit": (2, [], [-1], ([2, 1], [2, 1]), {}, [9, -1, 2], {2: "C"}, None),
+    "2-conflict": (2, [], [-1, -2], ([2, 1], [2, 1]), {}, [9, -1, -2], {}, "C"),
+    "3-true": (3, [2], [-1], ([1, 2, 3], [2, 1, 3]), {}, [9, 2, -1], {}, None),
+    "3-pos2": (3, [], [-1], ([3, 2, 1], [2, 3, 1]), {3: "C"}, [9, -1], {}, None),
+    "3-unit": (3, [-3], [-1], ([2, 1, 3], [2, 1, 3]), {}, [9, -3, -1, 2], {2: "C"},
+               None),
+    "3-conflict": (3, [-3], [-1, -2], ([2, 1, 3], [2, 1, 3]), {}, [9, -3, -1, -2], {},
+                   "C"),
+    "4-true": (4, [2], [-1], ([1, 2, 3, 4], [2, 1, 3, 4]), {}, [9, 2, -1], {}, None),
+    "4-pos2": (4, [], [-1], ([3, 2, 1, 4], [2, 3, 1, 4]), {3: "C"}, [9, -1], {}, None),
+    "4-pos3": (4, [-3], [-1], ([4, 2, 3, 1], [2, 4, 3, 1]), {4: "C"}, [9, -3, -1], {},
+               None),
+    "4-unit": (4, [-3, -4], [-1], ([2, 1, 3, 4], [2, 1, 3, 4]), {}, [9, -3, -4, -1, 2],
+               {2: "C"}, None),
+    "4-conflict": (4, [-3, -4], [-1, -2], ([2, 1, 3, 4], [2, 1, 3, 4]), {},
+                   [9, -3, -4, -1, -2], {}, "C"),
+    "5-true": (5, [2], [-1], ([1, 2, 3, 4, 5], [2, 1, 3, 4, 5]), {}, [9, 2, -1], {},
+               None),
+    "5-pos2": (5, [], [-1], ([3, 2, 1, 4, 5], [2, 3, 1, 4, 5]), {3: "C"}, [9, -1], {},
+               None),
+    "5-pos4": (5, [-3, -4], [-1], ([5, 2, 3, 4, 1], [2, 5, 3, 4, 1]), {5: "C"},
+               [9, -3, -4, -1], {}, None),
+    "5-unit": (5, [-3, -4, -5], [-1], ([2, 1, 3, 4, 5], [2, 1, 3, 4, 5]), {},
+               [9, -3, -4, -5, -1, 2], {2: "C"}, None),
+    "5-conflict": (5, [-3, -4, -5], [-1, -2], ([2, 1, 3, 4, 5], [2, 1, 3, 4, 5]), {},
+                   [9, -3, -4, -5, -1, -2], {}, "C"),
+}
+
+
+@pytest.mark.parametrize("w", [0, 1], ids=["watch0", "watch1"])
+@pytest.mark.parametrize("case", PROBE_VISITS)
+def test_probe_kernel_visit(case, w):
+    size, before, visit, lits, parked, trail, reasons, conflict = PROBE_VISITS[case]
+    eng, named = watch_visit_engine(size, w, probed=True)
+    at_start = fingerprint(eng)
+    watches = [list(wl) for wl in eng.watches]
+    eng._probing = named["P"]
+    for lit in [9, *before]:
+        eng.assume(lit)
+        assert eng.propagate() is None
+    for lit in visit:
+        eng.assume(lit)
+    confl = eng.propagate()
+    name_of = {c.cid: name for name, c in named.items()}
+    assert (name_of[confl.cid] if confl else None) == conflict
+    assert named["C"].lits == lits[w]
+    assert named["A"].lits == [11, 10, 1]  # A moves out first, at position 2
+    assert named["B"].lits == [1, 9]  # other watch true: no write
+    assert named["P"].lits == [1, 12]  # skipped
+    assert lists_by_literal(eng, eng._probe_parked.items(), named) == {**parked, 11: "A"}
+    assert eng.watches == watches
+    assert eng.trail == trail
+    assert {v: name_of[r.cid] for v, r in enumerate(eng.reason) if r} == reasons
+
+    eng.backtrack(0)
+    eng._probing = None
+    eng.undo_probe_moves()
+    assert not eng._probe_parked and not eng._probe_swaps
+    assert fingerprint(eng) == at_start
 
 
 # ------------------------------------------------------------ selection
