@@ -10,17 +10,21 @@ its warm caches and every stretch of host noise.  The workload's corpus
 back to back on each operation, base first on even reps and new first on
 odd ones.  Each operation counts at its fastest rep.
 
-Prints, per mode, each side's total of per-operation minimum times and their
-ratio new/base, then the same over all modes.  Exits 1 unless every answer
-is correct and every operation's ``worker_stats`` are identical between the
-two sides and between reps, which is how a change that claims bit-identical
-search is checked.
+Before the timed reps, one untimed pass solves every operation on both sides
+with an event recorder attached.  Prints, per mode, each side's total of
+per-operation minimum times and their ratio new/base, then the same over all
+modes.  Exits 1 unless every answer is correct, every operation's
+``worker_stats`` are identical between the two sides and between reps, and
+every operation's winner and the SHA-256 of its event stream's ``repr`` are
+identical between the two sides, which is how a change that claims
+bit-identical search is checked.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import os
 import sys
@@ -59,11 +63,20 @@ class Side:
         self.schedule = {k: size[k] for k in ("reduce_first",) if k in size}
         self.best = {}  # (instance index, mode label) -> fastest seconds
 
-    def solve(self, i, m):
-        config = self.v.portfolio.PortfolioConfig(
+    def config(self, m, recorder=None):
+        return self.v.portfolio.PortfolioConfig(
             num_workers=bench.WORKERS, lcm=self.modes[m],
             deterministic=self.deterministic, conflict_limit=self.budget,
-            **self.schedule)
+            recorder=recorder, **self.schedule)
+
+    def trace(self, i, m):
+        """The winner and the event stream digest of one untimed solve."""
+        events = []
+        result = self.v.portfolio.run(self.formulas[i], self.config(m, events.append))
+        return result.winner, hashlib.sha256(repr(events).encode()).hexdigest()
+
+    def solve(self, i, m):
+        config = self.config(m)
         t0 = time.perf_counter()
         result = self.v.portfolio.run(self.formulas[i], config)
         elapsed = time.perf_counter() - t0
@@ -102,6 +115,14 @@ def main(argv=None):
     new = Side(load_checkout(args.new, "vivipar_ab_new"), instances, workload, size)
 
     bad = 0
+    for i, inst in enumerate(instances):
+        for m, label in enumerate(bench.MODE_LABELS):
+            if base.trace(i, m) != new.trace(i, m):
+                bad += 1
+                print(f"WINNER or EVENTS differ for {inst.name} {label}",
+                      file=sys.stderr)
+    print("event pass done", file=sys.stderr)
+
     first = {}  # (instance index, mode index) -> the first run's stats
     for rep in range(args.reps):
         order = (base, new) if rep % 2 == 0 else (new, base)
@@ -132,7 +153,8 @@ def main(argv=None):
         n = sum(nt.values()) if label == "all" else nt[label]
         print(f"  {label:6s} {b:10.4f} {n:10.4f} {n / b:9.3f}")
     if bad:
-        print(f"{bad} operation(s) wrong or with differing worker_stats", file=sys.stderr)
+        print(f"{bad} operation(s) wrong or with differing worker_stats, "
+              f"winner or events", file=sys.stderr)
         return 1
     return 0
 

@@ -76,22 +76,22 @@ def should_restart(cfg, recent_lbds, global_lbd_mean, conflicts_since_restart,
 class Engine:
     """A single CDCL solver over an immutable Formula.
 
-    Owned by exactly one worker; all cross-worker traffic goes through the
-    ``pool`` (see the exchange module).  ``hooks`` is the strategy object
-    driving vivification and exports; without hooks the engine behaves as a
-    plain baseline solver.  ``recorder``, when set, is the run's event sink:
-    the engine, its strategy, vivification and export call it with one plain
-    tuple per event, ``(kind, worker, ...)`` (README lists the kinds).  The
+    Owned by exactly one worker, and knows nothing of sharing: all
+    cross-worker traffic goes through the pool, which only ``hooks`` (the
+    strategy object driving vivification, exports and imports) touches.
+    Without hooks the engine behaves as a plain baseline solver.
+    ``recorder``, when set, is the run's event sink: the engine, its
+    strategy, vivification and export call it with one plain tuple per
+    event, ``(kind, worker, ...)`` (README lists the kinds).  The
     engine's own are ``("decide", w, lit)``, ``("conflict", w, lbd)``,
     ``("restart", w)`` and ``("reduce_remove", w, cid, protected)``.
     """
 
-    def __init__(self, formula, config=None, stats=None, pool=None, worker_id=0,
+    def __init__(self, formula, config=None, stats=None, worker_id=0,
                  recorder=None):
         self.formula = formula
         self.cfg = config or EngineConfig()
         self.stats = stats if stats is not None else Stats()
-        self.pool = pool
         self.worker_id = worker_id
         self.recorder = recorder
         self.hooks = None
@@ -741,29 +741,6 @@ class Engine:
             self.reason[v0] = None
 
     # ------------------------------------------------------------------
-    # clause import
-
-    def _integrate_imports(self):
-        """Drain the inbound share buffer at decision level 0.
-
-        Each record goes through `_admit`, which keys the watch policy on
-        the exporter's claimed LBD.  Returns the number of records
-        integrated (level-0 conflicts mark the engine UNSAT).
-        """
-        records = self.pool.drain(self.worker_id)
-        if not records:
-            return 0
-        stats = self.stats
-        before = stats.clauses_imported
-        for rec in records:
-            c = self._admit(rec.lits, rec.lbd, imported=True)
-            if c is not None and rec.cid is not None:
-                c.link = (rec.origin, rec.cid)
-            if self._terminal is not None:
-                break
-        return stats.clauses_imported - before
-
-    # ------------------------------------------------------------------
     # search
 
     def _restart_due(self):
@@ -817,19 +794,12 @@ class Engine:
                 continue
             if self._terminal is not None:
                 return self._terminal
-            if self.decision_level == 0:
-                if self.pool is not None and self._integrate_imports():
-                    if self._terminal is not None:
-                        return self._terminal
-                    continue
+            if self.decision_level == 0 and self.hooks is not None:
+                self.hooks.on_level_zero()
                 if self._terminal is not None:
                     return self._terminal
-                if self.hooks is not None:
-                    self.hooks.on_level_zero()
-                    if self._terminal is not None:
-                        return self._terminal
-                    if self.qhead < len(self.trail):
-                        continue
+                if self.qhead < len(self.trail):
+                    continue
             if self._restart_due():
                 stats.restarts += 1
                 self._since_restart = 0

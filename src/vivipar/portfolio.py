@@ -21,7 +21,7 @@ from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
 from .exchange import SharedPool
 from .formula import evaluate
 from .stats import Stats, merge_stats
-from .strategy import LcmMode, NONE, Strategy
+from .strategy import KINDS, LcmMode, NONE, Strategy
 
 MAX_DEFAULT_WORKERS = 34
 
@@ -65,6 +65,8 @@ class PortfolioConfig:
     def validate(self):
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
+        if self.lcm.kind not in KINDS:
+            raise ConfigError(f"unknown lcm kind {self.lcm.kind!r}")
         if self.lcm.ecm_max_lbd < 1:
             raise ConfigError("ecm_max_lbd must be >= 1")
         if self.time_limit is not None and not self.time_limit > 0:
@@ -75,6 +77,16 @@ class PortfolioConfig:
             raise ConfigError("quantum must be >= 1")
         if self.export_max_lbd < 1:
             raise ConfigError("export_max_lbd must be >= 1")
+        # zero schedules hang (reductions with no conflict between them)
+        # or crash (the mean of an empty restart window)
+        if self.reduce_first < 1:
+            raise ConfigError("reduce_first must be >= 1")
+        if self.reduce_inc < 0:
+            raise ConfigError("reduce_inc must be >= 0")
+        if self.restart_window < 1:
+            raise ConfigError("restart_window must be >= 1")
+        if self.luby_unit < 1:
+            raise ConfigError("luby_unit must be >= 1")
 
 
 @dataclass
@@ -115,42 +127,13 @@ def diversify(worker_index, config):
     )
 
 
-class _Worker:
-    """One portfolio worker.  Its Engine and Strategy are built at first use,
-    so a deterministic worker that never gets a turn costs nothing and
-    reports an all-zero `Stats`."""
-
-    __slots__ = ("index", "stats", "_formula", "_config", "_pool",
-                 "_engine", "_strategy")
-
-    def __init__(self, index, formula, config, pool):
-        self.index = index
-        self.stats = Stats()
-        self._formula = formula
-        self._config = config
-        self._pool = pool
-        self._engine = None
-        self._strategy = None
-
-    def build(self):
-        """Build the engine and its strategy, once."""
-        if self._engine is not None:
-            return
-        config = self._config
-        self._engine = Engine(self._formula, diversify(self.index, config),
-                              self.stats, pool=self._pool, worker_id=self.index,
-                              recorder=config.recorder)
-        self._strategy = Strategy(config.lcm, self._engine, config.export_max_lbd)
-
-    @property
-    def engine(self):
-        self.build()
-        return self._engine
-
-    @property
-    def strategy(self):
-        self.build()
-        return self._strategy
+def _build_worker(index, formula, config, pool, stats):
+    """Build worker ``index``: its engine, counting into ``stats``, with a
+    strategy over ``pool`` installed as the engine's hooks."""
+    engine = Engine(formula, diversify(index, config), stats, worker_id=index,
+                    recorder=config.recorder)
+    Strategy(config.lcm, engine, pool, config.export_max_lbd)
+    return engine
 
 
 def run(formula, config):
@@ -162,64 +145,72 @@ def run(formula, config):
     both modes.
     """
     config.validate()
-    pool = SharedPool(config.num_workers)
-    workers = [_Worker(i, formula, config, pool) for i in range(config.num_workers)]
-    if not config.deterministic:
-        # every engine exists before the first thread starts searching
-        for w in workers:
-            w.build()
+    n = config.num_workers
+    pool = SharedPool(n)
+    stats = [Stats() for _ in range(n)]
+
+    def build(i):
+        return _build_worker(i, formula, config, pool, stats[i])
+
+    # a deterministic worker is built at its first turn; in threaded mode
+    # every engine exists before the first thread starts searching
+    engines = ([None] * n if config.deterministic
+               else [build(i) for i in range(n)])
 
     start = time.monotonic()
     if config.deterministic:
-        status, winner = _run_round_robin(workers, config)
+        status, winner = _run_round_robin(engines, build, config)
         wall = 0.0  # reported time is pinned so runs are byte-reproducible
     else:
-        status, winner = _run_threads(workers, config)
+        status, winner = _run_threads(engines, config)
         wall = time.monotonic() - start
 
     model = None
     if status == SAT:
-        model = workers[winner].engine.model()
+        model = engines[winner].model()
         if not evaluate(formula, model):
             raise RuntimeError("winning model failed verification")
-    for i, w in enumerate(workers):
-        w.stats.buffer_overflows += pool.overflows[i]
-        if w._engine is not None:
+    for i, engine in enumerate(engines):
+        stats[i].buffer_overflows += pool.overflows[i]
+        if engine is not None:
             # break the engine <-> strategy cycle: reference counting alone
             # then frees the finished run
-            w._engine.hooks = None
+            engine.hooks = None
     return PortfolioResult(status=status, model=model, winner=winner,
-                           wall_seconds=wall,
-                           worker_stats=[w.stats for w in workers])
+                           wall_seconds=wall, worker_stats=stats)
 
 
-def _run_round_robin(workers, config):
+def _run_round_robin(engines, build, config):
+    """Give each worker a turn of ``config.quantum`` conflicts in order.
+    ``engines[i]`` stays None until worker i's first turn, which builds it
+    with ``build(i)``."""
     deadline = (time.monotonic() + config.time_limit
                 if config.time_limit is not None else None)
-    active = [True] * len(workers)
+    active = [True] * len(engines)
     while any(active):
-        for w in workers:
-            if not active[w.index]:
+        for i in range(len(engines)):
+            if not active[i]:
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 return UNKNOWN, None  # no worker is built past the deadline
             try:
-                # .engine builds the worker at its first turn
-                status = w.engine.step(pause_after=config.quantum,
-                                       deadline=deadline,
-                                       conflict_limit=config.conflict_limit)
+                if engines[i] is None:
+                    engines[i] = build(i)
+                status = engines[i].step(pause_after=config.quantum,
+                                         deadline=deadline,
+                                         conflict_limit=config.conflict_limit)
             except Exception as e:
-                raise WorkerFault(w.index, e) from e
+                raise WorkerFault(i, e) from e
             if status is None:
                 continue  # quantum used up; next worker's turn
             if status == UNKNOWN:
-                active[w.index] = False
+                active[i] = False
                 continue
-            return status, w.index
+            return status, i
     return UNKNOWN, None
 
 
-def _run_threads(workers, config):
+def _run_threads(engines, config):
     stop = threading.Event()
     deadline = (time.monotonic() + config.time_limit
                 if config.time_limit is not None else None)
@@ -227,24 +218,24 @@ def _run_threads(workers, config):
     faults = []
     lock = threading.Lock()
 
-    def drive(w):
+    def drive(i):
         try:
-            status = w.engine.step(stop=stop, deadline=deadline,
-                                   conflict_limit=config.conflict_limit)
+            status = engines[i].step(stop=stop, deadline=deadline,
+                                     conflict_limit=config.conflict_limit)
         except Exception as e:
             with lock:
-                faults.append((w.index, e))
+                faults.append((i, e))
             stop.set()
             return
         if status in (SAT, UNSAT):
             with lock:
                 if "status" not in result:
                     result["status"] = status
-                    result["winner"] = w.index
+                    result["winner"] = i
             stop.set()
 
-    threads = [threading.Thread(target=drive, args=(w,), daemon=True)
-               for w in workers]
+    threads = [threading.Thread(target=drive, args=(i,), daemon=True)
+               for i in range(len(engines))]
     for t in threads:
         t.start()
     for t in threads:

@@ -22,9 +22,12 @@ from .vivify import (apply_outcome, satisfied_at_root, select_candidates,
                      vivify_clause)
 
 
+KINDS = ("none", "pcm", "lpcm", "ecm")
+
+
 @dataclass(frozen=True)
 class LcmMode:
-    kind: str  # "none" | "pcm" | "lpcm" | "ecm"
+    kind: str  # one of KINDS
     ecm_max_lbd: int = 3
 
     @property
@@ -59,13 +62,16 @@ def mode_from_label(label):
 class Strategy:
     """Per-worker minimization workflow, installed as the engine's hooks.
 
-    Clauses go to and improvements come from the engine's pool; a clause is
-    exported only with LBD <= ``export_max_lbd``.
+    The strategy makes every pool call of its worker: it exports learned
+    clauses (only with LBD <= ``export_max_lbd``), admits imports at level
+    0, and publishes and adopts LPCM improvements.  So the record format
+    and the LPCM key stay between it and the exchange module.
     """
 
-    def __init__(self, mode, engine, export_max_lbd=4):
+    def __init__(self, mode, engine, pool, export_max_lbd=4):
         self.mode = mode
         self.engine = engine
+        self.pool = pool
         self.export_max_lbd = export_max_lbd
         self.reduce_pending = False
         self.ecm_withheld = deque()
@@ -112,7 +118,21 @@ class Strategy:
             self.engine.reduce_db()
 
     def on_level_zero(self):
-        """Quiescent at level 0 (restart or natural backjump)."""
+        """Quiescent at level 0 (restart or natural backjump).
+
+        Drains the worker's inbound buffer until it is empty, admitting each
+        record under the exporter's claimed LBD, and stops at the first
+        record that leaves the engine terminal.  Then runs a pending
+        PCM/LPCM pass.
+        """
+        eng = self.engine
+        while records := self.pool.drain(eng.worker_id):
+            for rec in records:
+                c = eng._admit(rec.lits, rec.lbd, imported=True)
+                if c is not None and rec.cid is not None:
+                    c.link = (rec.origin, rec.cid)
+                if eng._terminal is not None:
+                    return
         if self.reduce_pending:
             self._vivify_and_reduce()
 
@@ -120,9 +140,7 @@ class Strategy:
 
     def _export(self, clause, lits=None, lbd=None):
         eng = self.engine
-        if eng.pool is None:
-            return False
-        return exchange.export(eng.pool, eng.worker_id, clause,
+        return exchange.export(self.pool, eng.worker_id, clause,
                                self.export_max_lbd, self.mode, lits=lits, lbd=lbd,
                                stats=eng.stats, recorder=eng.recorder)
 
@@ -172,7 +190,7 @@ class Strategy:
             out = self._vivify(c)
             if (self.mode.kind == "lpcm" and out is not None and out.success
                     and c.link is not None):
-                eng.pool.publish(c.link, out.new_lits)
+                self.pool.publish(c.link, out.new_lits)
                 eng.stats.improvements_published += 1
                 if eng.recorder is not None:
                     eng.recorder(("publish", eng.worker_id, out.new_lits))
@@ -191,7 +209,7 @@ class Strategy:
         for c in list(eng.learned_db):
             if c.removed or not c.imported or c.link is None:
                 continue
-            lits = eng.pool.improvement(c.link)
+            lits = self.pool.improvement(c.link)
             if lits is None:
                 continue
             c.link = None  # publications are at-most-once; nothing more comes

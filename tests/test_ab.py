@@ -39,3 +39,19 @@ def test_differing_worker_stats_fail(tmp_path):
     proc = ab(ROOT, tmp_path)
     assert proc.returncode == 1
     assert "STATS differ for" in proc.stderr
+
+
+def test_differing_events_fail(tmp_path):
+    # a copy whose learn event lists the clause's literals sorted: the
+    # search and every counter are unchanged, only the event stream differs
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    strategy = tmp_path / "src" / "vivipar" / "strategy.py"
+    lits = "tuple(clause.lits)))"
+    text = strategy.read_text()
+    assert text.count(lits) == 1
+    strategy.write_text(text.replace(lits, "tuple(sorted(clause.lits))))"))
+    proc = ab(ROOT, tmp_path)
+    assert proc.returncode == 1
+    assert "WINNER or EVENTS differ for" in proc.stderr
+    assert "STATS differ for" not in proc.stderr

@@ -189,10 +189,10 @@ def test_criterion_5_lpcm_protocol_directed(capsys):
     # B's next reduction swaps in the improvement
     pool = SharedPool(2)
     shared = [[-1, 2]]
-    eng_a = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=0)
-    strat_a = Strategy(LPCM, eng_a)
-    eng_b = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=1)
-    strat_b = Strategy(LPCM, eng_b)
+    eng_a = Engine(mk_formula(3, shared), EngineConfig(), worker_id=0)
+    strat_a = Strategy(LPCM, eng_a, pool)
+    eng_b = Engine(mk_formula(3, shared), EngineConfig(), worker_id=1)
+    strat_b = Strategy(LPCM, eng_b, pool)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -206,7 +206,8 @@ def test_criterion_5_lpcm_protocol_directed(capsys):
     eng_a.learned_db.append(filler)
     eng_a._attach(filler)
 
-    assert eng_b._integrate_imports() == 1
+    strat_b.on_level_zero()
+    assert eng_b.stats.clauses_imported == 1
     copy = [x for x in eng_b.learned_db if x.imported][0]
     assert set(copy.lits) == {1, 2, 3}
 

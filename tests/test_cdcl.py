@@ -146,7 +146,7 @@ def test_learned_clauses_implied_by_formula(engine_checks):
         f = gen_random_3sat(20, 85, seed)
         log = []
         eng = Engine(f, EngineConfig(), recorder=log.append)
-        Strategy(NONE, eng)
+        Strategy(NONE, eng, SharedPool(1))
         eng.step(conflict_limit=150)
         learns = of_kind(log, "learn")
         words = models(f.num_vars, f.clauses)  # F |= C iff no model falsifies C
@@ -210,7 +210,7 @@ def test_minimized_clause_still_implied(engine_checks):
         f = gen_random_3sat(16, 68, seed + 500)
         log = []
         eng = Engine(f, EngineConfig(), recorder=log.append)
-        Strategy(NONE, eng)
+        Strategy(NONE, eng, SharedPool(1))
         eng.step(conflict_limit=100)
         for _, _, _, _, lits in of_kind(log, "learn"):
             assert implied(f.num_vars, f.clauses, lits)
@@ -424,10 +424,12 @@ def test_import_watches_unassigned_literals():
     # -1 holds at level 0, so the import (1 2 3) must watch 2 and 3 in its
     # own positions 0 and 1, and propagate 2 once 3 is false
     pool = SharedPool(2)
-    eng = Engine(mk_formula(3, [[-1]]), EngineConfig(), pool=pool, worker_id=1)
+    eng = Engine(mk_formula(3, [[-1]]), EngineConfig(), worker_id=1)
+    strat = Strategy(NONE, eng, pool)
     assert eng.propagate() is None
     pool.broadcast(SharedClause((1, 2, 3), 2, 0))
-    assert eng._integrate_imports() == 1
+    strat.on_level_zero()
+    assert eng.stats.clauses_imported == 1
     imported = eng.learned_db[0]
     assert not imported.one_watched
     assert eng.value(imported.lits[0]) == 0 and eng.value(imported.lits[1]) == 0
@@ -441,11 +443,12 @@ def test_lazy_import_one_watch_conflict_detection():
     # a one-watched clause must still raise a conflict when fully falsified
     pool = SharedPool(2)
     f = mk_formula(5, [[1, 2, 3, 4, 5]])
-    eng = Engine(f, EngineConfig(), pool=pool, worker_id=0)
-    from vivipar.exchange import SharedClause
+    eng = Engine(f, EngineConfig(), worker_id=0)
+    strat = Strategy(NONE, eng, pool)
     pool.broadcast(SharedClause(lits=(-1, -2, -3), lbd=5, origin=1))
     eng.propagate()
-    assert eng._integrate_imports() == 1
+    strat.on_level_zero()
+    assert eng.stats.clauses_imported == 1
     imported = eng.learned_db[0]
     assert imported.one_watched  # lbd 5 >= 4: standby watch
     eng.assume(1)
@@ -462,11 +465,12 @@ def test_check_watches_reports_stale_standby_entries():
     # a one-watch list must hold only live one-watched clauses containing
     # its literal, and no one-watched clause may sit on a two-watch list
     pool = SharedPool(2)
-    eng = Engine(mk_formula(5, [[1, 2, 3, 4, 5]]), EngineConfig(), pool=pool,
-                 worker_id=0)
+    eng = Engine(mk_formula(5, [[1, 2, 3, 4, 5]]), EngineConfig(), worker_id=0)
+    strat = Strategy(NONE, eng, pool)
     pool.broadcast(SharedClause(lits=(-1, -2, -3), lbd=5, origin=1))
     assert eng.propagate() is None
-    assert eng._integrate_imports() == 1
+    strat.on_level_zero()
+    assert eng.stats.clauses_imported == 1
     standby = eng.learned_db[0]
     assert standby.one_watched and eng.check_watches()
     n = eng.num_vars

@@ -27,7 +27,7 @@ import pytest
 from vivipar.exchange import SharedPool
 from vivipar.formula import to_dimacs
 from vivipar.harness import cli_main, gen_random_3sat
-from vivipar.portfolio import PortfolioConfig, _Worker, run
+from vivipar.portfolio import PortfolioConfig, _build_worker, run
 from vivipar.stats import Stats
 from vivipar.strategy import mode_from_label
 
@@ -192,14 +192,15 @@ def test_watch_invariant_between_turns(case):
         config = PortfolioConfig(num_workers=2, lcm=mode_from_label(mode),
                                  deterministic=True, **knobs)
         pool = SharedPool(2)
-        workers = [_Worker(i, formula, config, pool) for i in range(2)]
+        engines = [_build_worker(i, formula, config, pool, Stats())
+                   for i in range(2)]
         status = None
         while status is None:
-            for w in workers:
-                status = w.engine.step(pause_after=config.quantum)
+            for eng in engines:
+                status = eng.step(pause_after=config.quantum)
                 if status is not None:
                     break
-                assert w.engine.check_watches()
+                assert eng.check_watches()
 
 
 # The event stream of a deterministic PHP(6,5) run with 2 workers: the count

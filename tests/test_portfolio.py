@@ -12,7 +12,7 @@ from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force
 from vivipar.stats import Stats
 from vivipar.portfolio import (ConfigError, PortfolioConfig, WorkerFault,
-                               _Worker, diversify, run)
+                               _build_worker, diversify, run)
 from vivipar.strategy import LPCM, NONE, PCM, ecm
 
 from conftest import mk_formula, php
@@ -78,8 +78,8 @@ def test_homogeneous_lcm_across_workers():
     f = gen_random_3sat(12, 50, seed=0)
     cfg = PortfolioConfig(num_workers=4, lcm=LPCM)
     pool = SharedPool(4)
-    workers = [_Worker(i, f, cfg, pool) for i in range(4)]
-    assert all(w.strategy.mode == LPCM for w in workers)
+    engines = [_build_worker(i, f, cfg, pool, Stats()) for i in range(4)]
+    assert all(eng.hooks.mode == LPCM for eng in engines)
 
 
 def test_config_errors():
@@ -99,6 +99,13 @@ def test_config_errors():
         run(f, PortfolioConfig(lcm=LcmMode("pcm", 0)))
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(export_max_lbd=0))
+    with pytest.raises(ConfigError, match="unknown lcm kind 'pcmm'"):
+        run(f, PortfolioConfig(lcm=LcmMode("pcmm")))
+    # schedules that hung (no reduction gap) or crashed (empty restart window)
+    for bad in (dict(reduce_first=0, reduce_inc=0), dict(reduce_inc=-1),
+                dict(restart_window=0), dict(luby_unit=0)):
+        with pytest.raises(ConfigError):
+            run(f, PortfolioConfig(deterministic=True, **bad))
     with pytest.raises(ValueError):
         ecm(0)
 
@@ -181,10 +188,11 @@ def test_overflow_counts_surface_in_stats():
     from vivipar import portfolio as pf
     from vivipar.exchange import SharedPool
     pool = SharedPool(2, max_pending=4)
-    workers = [_Worker(i, f, cfg, pool) for i in range(2)]
-    st, _ = pf._run_round_robin(workers, cfg)
+    stats = [Stats(), Stats()]
+    st, _ = pf._run_round_robin(
+        [None, None], lambda i: _build_worker(i, f, cfg, pool, stats[i]), cfg)
     overflowed = sum(pool.overflows)
-    total = sum(w.stats.clauses_exported for w in workers)
+    total = sum(s.clauses_exported for s in stats)
     if total > 4:
         assert overflowed > 0
 

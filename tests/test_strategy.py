@@ -3,8 +3,8 @@ import threading
 import pytest
 
 from vivipar import cdcl
-from vivipar.cdcl import Engine, EngineConfig, SAT, UNKNOWN
-from vivipar.exchange import SharedPool
+from vivipar.cdcl import Engine, EngineConfig, SAT, UNKNOWN, UNSAT
+from vivipar.exchange import SharedClause, SharedPool
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.strategy import LPCM, NONE, PCM, Strategy, ecm, mode_from_label
@@ -16,8 +16,8 @@ def wire(mode, f_clauses=(), num_vars=8, num_workers=2, worker=0, log=None,
          **cfg):
     pool = SharedPool(num_workers)
     eng = Engine(mk_formula(num_vars, list(f_clauses)), EngineConfig(**cfg),
-                 pool=pool, worker_id=worker, recorder=log)
-    strat = Strategy(mode, eng)
+                 worker_id=worker, recorder=log)
+    strat = Strategy(mode, eng, pool)
     assert eng.propagate() is None
     return pool, eng, strat
 
@@ -176,6 +176,42 @@ def test_pcm_reduce_at_level_zero_runs_vivify_pass():
     assert eng.stats.vivify_attempts == 4  # lowest half of 8
 
 
+# ---------------------------------------------------------------- imports
+
+def test_refuting_import_ends_the_drain_and_skips_the_pending_pass():
+    # -1 and -2 hold at level 0, so the import (1 2) is false as it arrives
+    pool, eng, strat = wire(PCM, f_clauses=[[-1], [-2]], num_vars=30)
+    for i in range(8):
+        learn_clause(eng, [3 * i + 3, 3 * i + 4, 3 * i + 5], lbd=2)
+    eng.assume(3)
+    strat.before_reduce()
+    eng.backtrack(0)
+    pool.broadcast(SharedClause((1, 2), 2, origin=1))
+    pool.broadcast(SharedClause((27, 28, 29), 2, origin=1))
+    strat.on_level_zero()
+    assert eng.step() == UNSAT
+    assert eng.stats.clauses_imported == 0  # the record after it is not admitted
+    assert not any(c.imported for c in eng.learned_db)
+    assert strat.reduce_pending
+    assert eng.stats.vivify_attempts == 0 and eng.stats.reductions == 0
+
+
+def test_import_is_admitted_before_the_pending_pass():
+    pool, eng, strat = wire(PCM, num_vars=30)
+    for i in range(8):
+        learn_clause(eng, [3 * i + 1, 3 * i + 2, 3 * i + 3], lbd=2)
+    eng.assume(-1)
+    strat.before_reduce()
+    eng.backtrack(0)
+    pool.broadcast(SharedClause((25, 26, 27), 1, origin=1))
+    strat.on_level_zero()
+    assert eng.stats.clauses_imported == 1
+    assert not strat.reduce_pending and eng.stats.reductions == 1
+    # the import (LBD 1) ranks first of nine, so the lowest half the pass
+    # draws its candidates from holds three own clauses, not four
+    assert eng.stats.vivify_attempts == 3
+
+
 # ---------------------------------------------------------------- LPCM
 
 def test_lpcm_publish_and_importer_adoption():
@@ -184,12 +220,12 @@ def test_lpcm_publish_and_importer_adoption():
     log = []
     pool = SharedPool(2)
     shared = [[-1, 2]]  # under -b, a is forced false: (b,c,a) -> (b,c)
-    eng_a = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=0,
+    eng_a = Engine(mk_formula(3, shared), EngineConfig(), worker_id=0,
                    recorder=log.append)
-    a = Strategy(LPCM, eng_a)
-    eng_b = Engine(mk_formula(3, shared), EngineConfig(), pool=pool, worker_id=1,
+    a = Strategy(LPCM, eng_a, pool)
+    eng_b = Engine(mk_formula(3, shared), EngineConfig(), worker_id=1,
                    recorder=log.append)
-    b = Strategy(LPCM, eng_b)
+    b = Strategy(LPCM, eng_b, pool)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -199,7 +235,8 @@ def test_lpcm_publish_and_importer_adoption():
     # filler keeps c inside the lowest-LBD half of A's database
     learn_clause(eng_a, [-2, -3, -1], lbd=3)
 
-    assert eng_b._integrate_imports() == 1
+    b.on_level_zero()
+    assert eng_b.stats.clauses_imported == 1
     copy = [x for x in eng_b.learned_db if x.imported][0]
     assert set(copy.lits) == {2, 3, 1}
     assert copy.link == c.link
@@ -238,7 +275,7 @@ def test_stop_and_deadline_interrupt_a_vivification_pass(label, limit,
         monkeypatch.setattr(cdcl.time, "monotonic",
                             lambda: 2.0 if probed.is_set() else 0.0)
     eng = Engine(php(8, 7), EngineConfig(reduce_first=100), recorder=recorder)
-    strat = Strategy(mode_from_label(label), eng)
+    strat = Strategy(mode_from_label(label), eng, SharedPool(1))
     assert eng.step(**limits) == UNKNOWN
     assert len(of_kind(log, "vivify")) == eng.stats.vivify_attempts == 1
     if label == "pcm":
@@ -254,9 +291,9 @@ def test_pcm_isolation_no_links_ever():
         f = gen_random_3sat(20, 85, seed)
         pool = SharedPool(2)
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
-                                     restart_window=8), pool=pool, worker_id=0,
+                                     restart_window=8), worker_id=0,
                      recorder=log.append)
-        Strategy(PCM, eng)
+        Strategy(PCM, eng, pool)
         eng.step(conflict_limit=300)
         for rec in pool.drain(1):
             assert rec.cid is None
@@ -288,9 +325,9 @@ def test_none_mode_matches_bare_engine_traces():
 
         pool = SharedPool(1)
         wired_events = []
-        wired = Engine(f, EngineConfig(**cfg), pool=pool, worker_id=0,
+        wired = Engine(f, EngineConfig(**cfg), worker_id=0,
                        recorder=wired_events.append)
-        Strategy(NONE, wired)
+        Strategy(NONE, wired, pool)
         status_wired = wired.step()
 
         assert status_bare == status_wired

@@ -4,6 +4,7 @@ import pytest
 
 from vivipar import strategy, vivify
 from vivipar.cdcl import Engine, EngineConfig
+from vivipar.exchange import SharedPool
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import implied
@@ -391,7 +392,7 @@ def test_strict_progress_and_soundness_random():
         log = []
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
                                      restart_window=8), recorder=log.append)
-        Strategy(PCM, eng)
+        Strategy(PCM, eng, SharedPool(1))
         eng.step(conflict_limit=400)
         for _, _, old, new in of_kind(log, "replace"):
             total += 1
