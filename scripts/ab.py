@@ -13,11 +13,13 @@ odd ones.  Each operation counts at its fastest rep.
 Before the timed reps, one untimed pass solves every operation on both sides
 with an event recorder attached.  Prints, per mode, each side's total of
 per-operation minimum times and their ratio new/base, then the same over all
-modes.  Exits 1 unless every answer is correct, every operation's
-``worker_stats`` are identical between the two sides and between reps, and
-every operation's winner and the SHA-256 of its event stream's ``repr`` are
-identical between the two sides, which is how a change that claims
-bit-identical search is checked.
+modes, then each rep's ratio new/base of its summed times and the number of
+reps that new won, which shows whether the reading held rep by rep.  Exits 1
+unless every answer is correct, every operation's ``worker_stats`` are
+identical between the two sides and between reps, and every operation's
+winner and the SHA-256 of its event stream's ``repr`` are identical between
+the two sides, which is how a change that claims bit-identical search is
+checked.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class Side:
         self.budget = size.get("budget")
         self.schedule = {k: size[k] for k in ("reduce_first",) if k in size}
         self.best = {}  # (instance index, mode label) -> fastest seconds
+        self.rep_seconds = {}  # rep -> summed seconds of that rep's solves
 
     def config(self, m, recorder=None):
         return self.v.portfolio.PortfolioConfig(
@@ -75,13 +78,14 @@ class Side:
         result = self.v.portfolio.run(self.formulas[i], self.config(m, events.append))
         return result.winner, hashlib.sha256(repr(events).encode()).hexdigest()
 
-    def solve(self, i, m):
+    def solve(self, i, m, rep):
         config = self.config(m)
         t0 = time.perf_counter()
         result = self.v.portfolio.run(self.formulas[i], config)
         elapsed = time.perf_counter() - t0
         key = (i, bench.MODE_LABELS[m])
         self.best[key] = min(elapsed, self.best.get(key, elapsed))
+        self.rep_seconds[rep] = self.rep_seconds.get(rep, 0.0) + elapsed
         return result
 
     def totals(self):
@@ -129,7 +133,7 @@ def main(argv=None):
         for i, inst in enumerate(instances):
             for m, label in enumerate(bench.MODE_LABELS):
                 for side in order:
-                    result = side.solve(i, m)
+                    result = side.solve(i, m, rep)
                     verdict, reason = bench.check(inst, result, side.budget)
                     if verdict != "ok":
                         bad += 1
@@ -152,6 +156,9 @@ def main(argv=None):
         b = sum(bt.values()) if label == "all" else bt[label]
         n = sum(nt.values()) if label == "all" else nt[label]
         print(f"  {label:6s} {b:10.4f} {n:10.4f} {n / b:9.3f}")
+    ratios = [new.rep_seconds[r] / base.rep_seconds[r] for r in range(args.reps)]
+    print(f"  per rep new/base {' '.join(f'{r:.3f}' for r in ratios)}; "
+          f"new won {sum(r < 1 for r in ratios)}/{args.reps}")
     if bad:
         print(f"{bad} operation(s) wrong or with differing worker_stats, "
               f"winner or events", file=sys.stderr)

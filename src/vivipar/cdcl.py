@@ -468,7 +468,6 @@ class Engine:
         var_inc = self.var_inc
         cur = self.decision_level
         learnt = [0]
-        to_clear = []
         pathc = 0
         p = 0
         idx = len(trail) - 1
@@ -485,7 +484,6 @@ class Engine:
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    to_clear.append(v)
                     if bump:
                         a = act[v] + var_inc
                         act[v] = a
@@ -508,44 +506,29 @@ class Engine:
             c = reason[pv]
             seen[pv] = 0
         learnt[0] = -p
-        for v in to_clear:
-            seen[v] = 0
-
+        # resolved variables were unmarked, so `seen` marks learnt's variables
         learnt = self.minimize_learned(learnt)
-
         if len(learnt) == 1:
-            blevel = 0
-        else:
-            # the first literal of the highest level goes to position 1
-            mi = 1
-            q = learnt[1]
-            blevel = level[q if q > 0 else -q]
-            for i in range(2, len(learnt)):
-                q = learnt[i]
-                lv = level[q if q > 0 else -q]
-                if lv > blevel:
-                    mi = i
-                    blevel = lv
-            learnt[1], learnt[mi] = learnt[mi], learnt[1]
-        lbd = self.compute_lbd(learnt)
-        return learnt, blevel, lbd
+            return learnt, 0, 1
+        levels = [level[q if q > 0 else -q] for q in learnt]
+        # the first literal of the highest remaining level goes to position 1
+        blevel = max(levels[1:])
+        i = levels.index(blevel, 1)
+        learnt[1], learnt[i] = learnt[i], learnt[1]
+        return learnt, blevel, len(set(levels))
 
     def minimize_learned(self, lits):
         """Remove literals made redundant by the implication graph.
 
         ``lits[0]`` (the asserting literal) is always retained; any removed
         literal is implied false by the negation of the remaining clause.
+        On entry ``seen`` marks exactly the variables of ``lits``, as
+        `analyze_conflict` leaves it; on return no variable is marked.
         """
-        if len(lits) <= 1:
-            return lits
         seen = self.seen
         reason = self.reason
         level = self.level
         to_clear = []
-        for q in lits:
-            v = q if q > 0 else -q
-            seen[v] = 1
-            to_clear.append(v)
         clause_levels = {level[q if q > 0 else -q] for q in lits[1:]}
         kept = [lits[0]]
         for q in lits[1:]:
@@ -579,6 +562,8 @@ class Engine:
                 break
         for v in to_clear:
             seen[v] = 0
+        for q in lits:
+            seen[q if q > 0 else -q] = 0
         return kept
 
     # ------------------------------------------------------------------

@@ -100,8 +100,11 @@ def export(pool, worker, clause, max_lbd, mode, lits=None, lbd=None, stats=None,
     link ``(worker, cid)`` and its cid goes in the record; units cannot
     shrink, so they never carry a link.  ``stats`` and ``recorder`` are the
     exporting engine's.
-    Returns True when the record was exported.
+    Returns True when the record was exported; a pool of one worker has
+    nobody to export to.
     """
+    if pool.num_workers == 1:
+        return False
     lits = tuple(lits if lits is not None else clause.lits)
     lbd = lbd if lbd is not None else clause.lbd
     if lbd > max_lbd or len(lits) > EXPORT_MAX_LEN:

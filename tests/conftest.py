@@ -86,7 +86,8 @@ def fingerprint(eng):
 @pytest.fixture
 def engine_checks(monkeypatch):
     """Every Engine in the test runs the per-conflict invariant checks: the
-    learned clause is falsified after analysis (in probes too), it is
+    learned clause is falsified after analysis (in probes too), analysis
+    leaves no variable marked in ``seen``, the learned clause is
     asserting when `_learn` stores it (every literal but the first is false,
     the first unassigned), and every clause `_learn` or `_admit` makes passes
     `check_meta`.  Every vivification probe a `Strategy` makes leaves the
@@ -98,6 +99,7 @@ def engine_checks(monkeypatch):
         out = analyze(self, confl, bump)
         assert all(self.value(l) == -1 for l in out[0]), \
             "learned clause not falsified at the conflict level"
+        assert not any(self.seen), "analysis left a variable marked"
         return out
 
     def _learn(self, lits, lbd):

@@ -21,10 +21,16 @@ def ab(base, new):
 def test_same_checkout_on_both_sides_passes():
     proc = ab(ROOT, ROOT)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    lines = proc.stdout.splitlines()
+    rows = [line.split() for line in lines[2:-1]]
     assert [r[0] for r in rows] == [*MODES, "all"]
     for _, base, new, ratio in rows:
         assert float(base) > 0 and float(new) > 0 and float(ratio) > 0
+    # one ratio of summed times per rep, and how many reps new won
+    ratios, won = lines[-1].split(";")
+    assert ratios.split()[:3] == ["per", "rep", "new/base"]
+    assert [float(r) > 0 for r in ratios.split()[3:]] == [True, True]
+    assert won.split() in (["new", "won", f"{k}/2"] for k in range(3))
 
 
 def test_differing_worker_stats_fail(tmp_path):

@@ -166,8 +166,9 @@ def test_asserting_after_backtrack_debug_checks(engine_checks):
 
 def test_engine_checks_fixture_is_active(engine_checks):
     # the checks are live: storing a clause whose literals are all
-    # unassigned is not asserting, and analysing a conflict clause that is
-    # not falsified yields a learned clause that is not falsified either
+    # unassigned is not asserting, analysing a conflict clause that is not
+    # falsified yields a learned clause that is not falsified either, and a
+    # `seen` mark that analysis did not make outlives it
     eng = engine_for([[1, 2, 3]], 3)
     with pytest.raises(AssertionError, match="not asserting"):
         eng._learn([1, 2], 2)
@@ -176,12 +177,26 @@ def test_engine_checks_fixture_is_active(engine_checks):
     eng.assume(1)
     with pytest.raises(AssertionError, match="not falsified"):
         eng.analyze_conflict(Clause([-1, 2]), bump=False)
+    eng.seen[3] = 1
+    with pytest.raises(AssertionError, match="left a variable marked"):
+        eng.analyze_conflict(Clause([-1, -2]), bump=False)
+    eng.seen[3] = 0
     eng.backtrack(0)
     with pytest.raises(AssertionError, match="duplicate"):
         eng._admit([2, 2, 1], 1)
 
 
 # ---------------------------------------------------------------- minimize
+
+def minimize(eng, lits):
+    """`minimize_learned` entered as analysis leaves it, with ``seen``
+    marking the clause's variables; it must leave no mark behind."""
+    for q in lits:
+        eng.seen[abs(q)] = 1
+    out = eng.minimize_learned(list(lits))
+    assert not any(eng.seen)
+    return out
+
 
 def test_minimize_no_redundancy_unchanged():
     eng = engine_for([[1, 2, 3]], 3)
@@ -191,7 +206,7 @@ def test_minimize_no_redundancy_unchanged():
     eng.propagate()
     # neither -1 nor -2 has a reason (both decisions): nothing is redundant
     lits = [3, -1, -2]
-    assert eng.minimize_learned(list(lits)) == lits
+    assert minimize(eng, lits) == lits
 
 
 def test_minimize_self_subsuming_literal_removed():
@@ -201,8 +216,28 @@ def test_minimize_self_subsuming_literal_removed():
     eng.assume(1)
     eng.propagate()
     assert eng.value(3) == 1
-    out = eng.minimize_learned([2, -1, -3])
-    assert out == [2, -1]
+    assert minimize(eng, [2, -1, -3]) == [2, -1]
+
+
+@pytest.mark.parametrize("levels, order, blevel, lbd", [
+    ([5], [0], 0, 1),
+    ([5, 2], [0, 1], 2, 2),
+    ([5, 2, 3, 3], [0, 2, 1, 3], 3, 3),
+    ([5, 3, 2, 3], [0, 1, 2, 3], 3, 3),
+    ([5, 1, 4, 2, 4, 1], [0, 2, 1, 3, 4, 5], 4, 4),
+])
+def test_backjump_level_and_lbd(monkeypatch, levels, order, blevel, lbd):
+    # minimization leaves learned literal i at decision level levels[i]:
+    # the first literal of the highest level after the asserting one moves
+    # to position 1, that level is the backjump level, and the LBD counts
+    # the distinct levels
+    lits = [-(i + 1) for i in range(len(levels))]
+    eng = engine_for([], len(levels))
+    eng.assume(1)
+    eng.level[1:] = levels
+    monkeypatch.setattr(eng, "minimize_learned", lambda learnt: list(lits))
+    out = eng.analyze_conflict(Clause([-1]), bump=False)
+    assert out == ([lits[i] for i in order], blevel, lbd)
 
 
 def test_minimized_clause_still_implied(engine_checks):

@@ -7,6 +7,7 @@ import pytest
 from vivipar.exchange import (EXPORT_MAX_LEN, DoublePublish, SharedClause,
                               SharedPool, export)
 from vivipar.formula import Clause
+from vivipar.stats import Stats
 from vivipar.strategy import LPCM, PCM
 
 
@@ -34,6 +35,17 @@ def test_filter_rejects_long_clause():
     assert not export(pool, 0, c, 4, PCM)
     c = mk_clause(list(range(1, EXPORT_MAX_LEN + 1)), lbd=2)
     assert export(pool, 0, c, 4, PCM)  # the bound is inclusive
+
+
+def test_one_worker_pool_exports_nothing():
+    # nobody would receive it: no record, no link, no count, no event
+    pool = SharedPool(1)
+    c = mk_clause([1, 2, 3], lbd=2)
+    stats, log = Stats(), []
+    assert not export(pool, 0, c, 4, LPCM, stats=stats, recorder=log.append)
+    assert pool.pending(0) == 0
+    assert c.link is None
+    assert stats.clauses_exported == 0 and log == []
 
 
 def test_lpcm_attaches_link_pcm_does_not():

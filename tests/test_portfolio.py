@@ -27,6 +27,25 @@ def test_single_worker_deterministic_unsat():
     assert res.wall_seconds == 0.0
 
 
+@pytest.mark.parametrize("mode, conflicts, propagations", [
+    (NONE, 146, 1747), (PCM, 146, 2095), (LPCM, 146, 2095),
+    (ecm(3), 134, 2259), (ecm(4), 134, 2667)],
+    ids=["none", "pcm", "lpcm", "ecm3", "ecm4"])
+def test_single_worker_exports_and_publishes_nothing(mode, conflicts, propagations):
+    # no other worker would receive an export, so none is counted or
+    # recorded and LPCM sets no link to publish under; the search counters
+    # are pinned because skipping exports must not steer the search
+    log = []
+    res = run(php(6, 5), PortfolioConfig(num_workers=1, deterministic=True,
+                                         reduce_first=30, lcm=mode,
+                                         recorder=log.append))
+    s = res.worker_stats[0]
+    assert res.status == UNSAT
+    assert s.clauses_exported == s.improvements_published == 0
+    assert not [e for e in log if e[0] in ("export", "publish")]
+    assert (s.conflicts, s.propagations_total) == (conflicts, propagations)
+
+
 def test_four_workers_sat_model_verified():
     f = gen_random_3sat(25, 95, seed=5)
     assert brute_force(f)[0] == "SAT"
