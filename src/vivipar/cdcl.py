@@ -6,9 +6,10 @@ restarts, and activity/LBD-based database reduction with protection flags.
 
 Watched literals live in clause positions 0 and 1.  A clause that propagates
 always has the implied literal at position 0, so ``reason[v].lits[0]`` is the
-literal the clause forced.  Imported clauses with a weak LBD are kept on a
-single watch (lazy standby): they can still raise conflicts but never
-propagate, which is sound because they are implied by the input formula.
+literal the clause forced.  Imported clauses whose claimed LBD is at least
+`IMPORT_TWO_WATCH_LBD` are kept on a single watch (lazy standby): they can
+still raise conflicts but never propagate, which is sound because they are
+implied by the input formula.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
-# Imported clauses at least this strong are two-watched immediately;
-# weaker ones go on the one-watch standby.
+# Imported clauses with a claimed LBD of at least this go on the one-watch
+# standby; imports with a lower LBD are two-watched immediately.  Under the
+# default `export_max_lbd` of 4, the standby holds exactly the LBD-4 imports.
 IMPORT_TWO_WATCH_LBD = 4
 
 # A dynamic restart fires when the recent LBD mean exceeds RESTART_K times
@@ -125,7 +127,7 @@ class Engine:
         self.learned_db = []
         self._cid = 0
         self._terminal = None
-        self._limits = (None, None)  # stop signal and deadline of step()
+        self._deadline = None  # of the running step()
 
         # the clause a vivification probe is testing (None outside probes)
         # and the probe's rollback records, see _propagate_probe
@@ -737,25 +739,25 @@ class Engine:
                               self._since_restart, self.stats.restarts + 1)
 
     def interrupted(self):
-        """True once the stop signal of the running `step` is set or its
-        deadline has passed; the hooks test it between vivifications."""
-        stop, deadline = self._limits
-        return ((stop is not None and stop.is_set())
-                or (deadline is not None and time.monotonic() >= deadline))
+        """True once the deadline of the running `step` has passed; the
+        hooks test it between vivifications."""
+        deadline = self._deadline
+        return deadline is not None and time.monotonic() >= deadline
 
-    def step(self, pause_after=None, stop=None, deadline=None, conflict_limit=None):
+    def step(self, pause_after=None, deadline=None, conflict_limit=None):
         """Run the search loop: the engine's one entry point.
 
-        Returns SAT/UNSAT on a definitive answer, UNKNOWN when the stop
-        signal, deadline, or conflict limit fires, and None when
-        ``pause_after`` conflicts elapsed in this step (resumable).  With
-        ``pause_after=None`` it runs to an answer or a budget.  The stop
-        signal and deadline are tested before each decision and, through
-        `interrupted`, between the clauses of a vivification pass.
+        Returns SAT/UNSAT on a definitive answer, UNKNOWN when the deadline
+        (a `time.monotonic` value) or the conflict limit fires, and None
+        when ``pause_after`` conflicts elapsed in this step (resumable); the
+        portfolio gives each worker turns of ``pause_after`` conflicts.
+        With ``pause_after=None`` it runs to an answer or a budget.  The
+        deadline is tested before each decision and, through `interrupted`,
+        between the clauses of a vivification pass.
         """
         if self._terminal is not None:
             return self._terminal
-        self._limits = (stop, deadline)
+        self._deadline = deadline
         stats = self.stats
         start_conflicts = stats.conflicts
         while True:

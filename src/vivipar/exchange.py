@@ -37,7 +37,8 @@ class SharedPool:
     per-buffer lock, and each worker drains only its own buffer and never
     sees its own exports.  Improvements are looked up, never drained: one
     must stay readable until every importer of its clause has looked its key
-    up, so the dict never shrinks during a run.
+    up, so the dict never shrinks during a run.  The locks make the pool safe
+    to share between threads; `portfolio.run` itself calls it from one.
     """
 
     def __init__(self, num_workers, max_pending=DEFAULT_MAX_PENDING):

@@ -118,11 +118,12 @@ def _build_parser():
     p.add_argument("--ecm-max-lbd", type=int, default=3, metavar="N",
                    help="ECM withholds clauses with LBD <= N (default: 3)")
     p.add_argument("--threads", type=int, default=portfolio.default_workers(),
-                   metavar="N", help="number of workers")
+                   metavar="N",
+                   help="portfolio size: workers that take round-robin turns")
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded round-robin scheduling, reproducible runs")
+                   help="report wall time as 0, so stats CSVs are byte-identical")
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
                    metavar="SECONDS", help="wall-clock limit (default: 60)")
     p.add_argument("--conflict-limit", type=int, default=None, metavar="N",

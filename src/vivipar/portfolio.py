@@ -1,23 +1,24 @@
 """Run N diversified workers over one formula and race them to an answer.
 
-Parallel mode runs one thread per worker; the shared pool is the only
-mutable structure they touch in common, and a cooperative stop event is
-polled at every decision.  Deterministic mode runs the same workers on one
-thread, round-robin with a fixed conflict quantum per turn, which makes
-whole runs (including the stats) exactly reproducible; there a worker's
+Every run takes round-robin turns on the calling thread: each worker in
+index order searches for a quantum of conflicts, then the next worker takes
+its turn, until one answers, every worker has spent its conflict budget, or
+the time limit passes.  Workers share only the clause pool.  A worker's
 engine is built at its first turn, so one that never gets a turn costs
-nothing.
+nothing.  The schedule depends on no clock, so a run's search, stats and
+events are the same on every rerun unless the time limit fires; deterministic
+mode also pins the reported wall time to 0, which makes whole stats CSVs
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
-from .cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
+from .cdcl import SAT, UNKNOWN, Engine, EngineConfig
 from .exchange import SharedPool
 from .formula import evaluate
 from .stats import Stats, merge_stats
@@ -33,7 +34,7 @@ class ConfigError(Exception):
 class WorkerFault(Exception):
     """A worker raised; the run was stopped without an answer.
 
-    ``worker`` is the index of the first worker that failed; the original
+    ``worker`` is the index of the worker that failed; the original
     exception is chained as ``__cause__``.
     """
 
@@ -51,11 +52,11 @@ class PortfolioConfig:
     num_workers: int = 1
     lcm: LcmMode = NONE
     seed: int = 0
-    deterministic: bool = False
+    deterministic: bool = False  # pins the reported wall time to 0
     time_limit: float | None = None
     conflict_limit: int | None = None
     export_max_lbd: int = 4
-    quantum: int = 512  # conflicts per worker turn in deterministic mode
+    quantum: int = 512  # conflicts per worker turn
     reduce_first: int = 2000
     reduce_inc: int = 300
     restart_window: int = 50
@@ -139,31 +140,23 @@ def _build_worker(index, formula, config, pool, stats):
 def run(formula, config):
     """Solve one formula with the configured portfolio.
 
-    The first definitive answer wins; the rest are cancelled cooperatively.
-    A Sat model is verified against the formula before it is reported.  An
-    exception in any worker stops the others and raises `WorkerFault`, in
-    both modes.
+    The first definitive answer wins and ends the run.  A Sat model is
+    verified against the formula before it is reported.  An exception in any
+    worker ends the run and raises `WorkerFault`.
     """
     config.validate()
     n = config.num_workers
     pool = SharedPool(n)
     stats = [Stats() for _ in range(n)]
+    engines = [None] * n
 
     def build(i):
         return _build_worker(i, formula, config, pool, stats[i])
 
-    # a deterministic worker is built at its first turn; in threaded mode
-    # every engine exists before the first thread starts searching
-    engines = ([None] * n if config.deterministic
-               else [build(i) for i in range(n)])
-
     start = time.monotonic()
-    if config.deterministic:
-        status, winner = _run_round_robin(engines, build, config)
-        wall = 0.0  # reported time is pinned so runs are byte-reproducible
-    else:
-        status, winner = _run_threads(engines, config)
-        wall = time.monotonic() - start
+    status, winner = _run_round_robin(engines, build, config)
+    # deterministic mode pins the reported time so runs are byte-reproducible
+    wall = 0.0 if config.deterministic else time.monotonic() - start
 
     model = None
     if status == SAT:
@@ -207,42 +200,4 @@ def _run_round_robin(engines, build, config):
                 active[i] = False
                 continue
             return status, i
-    return UNKNOWN, None
-
-
-def _run_threads(engines, config):
-    stop = threading.Event()
-    deadline = (time.monotonic() + config.time_limit
-                if config.time_limit is not None else None)
-    result = {}
-    faults = []
-    lock = threading.Lock()
-
-    def drive(i):
-        try:
-            status = engines[i].step(stop=stop, deadline=deadline,
-                                     conflict_limit=config.conflict_limit)
-        except Exception as e:
-            with lock:
-                faults.append((i, e))
-            stop.set()
-            return
-        if status in (SAT, UNSAT):
-            with lock:
-                if "status" not in result:
-                    result["status"] = status
-                    result["winner"] = i
-            stop.set()
-
-    threads = [threading.Thread(target=drive, args=(i,), daemon=True)
-               for i in range(len(engines))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if faults:
-        index, error = faults[0]
-        raise WorkerFault(index, error) from error
-    if "status" in result:
-        return result["status"], result["winner"]
     return UNKNOWN, None

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import threading
 import time
 
 import pytest
@@ -66,6 +65,25 @@ def test_deterministic_reruns_identical():
     assert r1.model == r2.model
     assert r1.worker_stats == r2.worker_stats
     assert r1.wall_seconds == r2.wall_seconds == 0.0
+
+
+def test_nondeterministic_reruns_identical():
+    # the round-robin schedule reads no clock, so without the flag only the
+    # reported wall time differs between reruns
+    def solve():
+        log = []
+        res = run(php(7, 6), PortfolioConfig(num_workers=2, lcm=PCM, seed=3,
+                                             reduce_first=100, quantum=64,
+                                             recorder=log.append))
+        return res, log
+
+    (r1, log1), (r2, log2) = solve(), solve()
+    assert r1.status == r2.status == UNSAT
+    assert r1.winner == r2.winner
+    assert r1.worker_stats == r2.worker_stats
+    assert all(s.conflicts > 0 for s in r1.worker_stats)
+    assert log1 == log2
+    assert r1.wall_seconds > 0 and r2.wall_seconds > 0
 
 
 def test_diversify_reference_worker():
@@ -189,17 +207,6 @@ def test_time_limit_cancels_quickly():
     assert elapsed < 10  # all workers observed the deadline cooperatively
 
 
-def test_stop_signal_cancels_at_next_decision():
-    f = php(8, 7)
-    eng = Engine(f, EngineConfig())
-    stop = threading.Event()
-    assert eng.step(pause_after=20) is None
-    conflicts_before = eng.stats.conflicts
-    stop.set()
-    assert eng.step(stop=stop) == UNKNOWN
-    assert eng.stats.conflicts == conflicts_before  # no further search work
-
-
 def test_overflow_counts_surface_in_stats():
     f = gen_random_3sat(24, 102, seed=3)
     cfg = PortfolioConfig(num_workers=2, lcm=NONE, deterministic=True,
@@ -220,13 +227,13 @@ def test_overflow_counts_surface_in_stats():
 
 @pytest.fixture
 def engine_builds(monkeypatch):
-    """Record (worker_id, building thread) for every Engine construction."""
+    """Record the worker_id of every Engine construction, in order."""
     builds = []
     init = Engine.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        builds.append((self.worker_id, threading.current_thread()))
+        builds.append(self.worker_id)
 
     monkeypatch.setattr(Engine, "__init__", counting_init)
     return builds
@@ -237,73 +244,50 @@ def test_deterministic_idle_worker_never_built(engine_builds):
     f = gen_random_3sat(20, 60, seed=4)
     res = run(f, PortfolioConfig(num_workers=2, deterministic=True))
     assert res.status == SAT and res.winner == 0
-    assert [w for w, _ in engine_builds] == [0]
+    assert engine_builds == [0]
     assert res.worker_stats[0].conflicts < 512
     assert res.worker_stats[1] == Stats()
+
+
+def test_idle_workers_never_built(engine_builds):
+    # the same without the flag, over a wider portfolio
+    f = gen_random_3sat(20, 60, seed=4)
+    res = run(f, PortfolioConfig(num_workers=8))
+    assert res.status == SAT and res.winner == 0
+    assert engine_builds == [0]
+    assert res.worker_stats[1:] == [Stats()] * 7
 
 
 def test_deterministic_workers_built_at_first_turn(engine_builds):
     res = run(php(6, 5), PortfolioConfig(num_workers=2, deterministic=True,
                                          quantum=16))
     assert res.status == UNSAT
-    assert [w for w, _ in engine_builds] == [0, 1]
+    assert engine_builds == [0, 1]
     assert all(s.conflicts > 0 for s in res.worker_stats)
-
-
-def test_threaded_engines_built_before_threads_start(engine_builds, monkeypatch):
-    events = []
-    start = threading.Thread.start
-
-    def recording_start(self):
-        events.append(("start", len(engine_builds)))
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    res = run(php(5, 4), PortfolioConfig(num_workers=3))
-    assert res.status == UNSAT
-    assert sorted(w for w, _ in engine_builds) == [0, 1, 2]
-    assert all(t is threading.main_thread() for _, t in engine_builds)
-    assert events == [("start", 3)] * 3
 
 
 # ---------------------------------------------------------------- faults
 
-def test_worker_fault_in_one_thread_fails_the_run(monkeypatch):
-    # worker 1 holds its first decision until worker 0 has failed, so it
-    # cannot answer first; it must then be stopped, not reported
-    failed = threading.Event()
+def test_worker_fault_in_a_later_turn_fails_the_run(monkeypatch):
+    # worker 0 is mid-search after its first turn when worker 1 fails at
+    # its first decision; the run ends there, without an answer
     decide = Engine.decide
 
     def faulty_decide(self):
-        if self.worker_id == 0:
-            failed.set()
+        if self.worker_id == 1:
             raise RuntimeError("boom")
-        failed.wait(10)
         return decide(self)
 
     monkeypatch.setattr(Engine, "decide", faulty_decide)
     with pytest.raises(WorkerFault) as info:
-        run(php(6, 5), PortfolioConfig(num_workers=2))
-    assert info.value.worker == 0
-    assert str(info.value) == "worker 0 failed: RuntimeError: boom"
+        run(php(6, 5), PortfolioConfig(num_workers=2, quantum=16))
+    assert info.value.worker == 1
+    assert str(info.value) == "worker 1 failed: RuntimeError: boom"
     assert isinstance(info.value.__cause__, RuntimeError)
 
 
-def test_worker_fault_in_every_thread_fails_the_run(monkeypatch):
-    def faulty_decide(self):
-        raise RuntimeError(f"boom {self.worker_id}")
-
-    monkeypatch.setattr(Engine, "decide", faulty_decide)
-    with pytest.raises(WorkerFault) as info:
-        run(php(6, 5), PortfolioConfig(num_workers=2))
-    w = info.value.worker
-    assert w in (0, 1)
-    assert str(info.value) == f"worker {w} failed: RuntimeError: boom {w}"
-    assert str(info.value.__cause__) == f"boom {w}"
-
-
 def test_deterministic_mode_propagates_worker_exception(monkeypatch):
-    # the same contract as threaded mode: WorkerFault, the error as cause
+    # every worker fails; the first to take a turn is named
     def faulty_decide(self):
         raise RuntimeError("boom")
 

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from vivipar import cdcl
@@ -253,30 +251,23 @@ def test_lpcm_publish_and_importer_adoption():
     eng_b.check_watches()
 
 
-@pytest.mark.parametrize("limit", ["stop", "deadline"])
 @pytest.mark.parametrize("label", ["pcm", "ecm4"])
-def test_stop_and_deadline_interrupt_a_vivification_pass(label, limit,
-                                                         monkeypatch):
-    # the stop signal is set, or the deadline passes, during the first
-    # probe; the pass ends before the second, and an interrupted PCM pass
-    # leaves its reduction pending
-    probed = threading.Event()
+def test_deadline_interrupts_a_vivification_pass(label, monkeypatch):
+    # the deadline passes during the first probe; the pass ends before the
+    # second, and an interrupted PCM pass leaves its reduction pending
+    probed = []
     log = []
 
     def recorder(event):
         log.append(event)
         if event[0] == "vivify":
-            probed.set()
+            probed.append(event)
 
-    if limit == "stop":
-        limits = dict(stop=probed)
-    else:
-        limits = dict(deadline=1.0)
-        monkeypatch.setattr(cdcl.time, "monotonic",
-                            lambda: 2.0 if probed.is_set() else 0.0)
+    monkeypatch.setattr(cdcl.time, "monotonic",
+                        lambda: 2.0 if probed else 0.0)
     eng = Engine(php(8, 7), EngineConfig(reduce_first=100), recorder=recorder)
     strat = Strategy(mode_from_label(label), eng, SharedPool(1))
-    assert eng.step(**limits) == UNKNOWN
+    assert eng.step(deadline=1.0) == UNKNOWN
     assert len(of_kind(log, "vivify")) == eng.stats.vivify_attempts == 1
     if label == "pcm":
         assert strat.reduce_pending and eng.stats.reductions == 0
