@@ -6,10 +6,8 @@ restarts, and activity/LBD-based database reduction with protection flags.
 
 Watched literals live in clause positions 0 and 1.  A clause that propagates
 always has the implied literal at position 0, so ``reason[v].lits[0]`` is the
-literal the clause forced.  Imported clauses whose claimed LBD is at least
-`IMPORT_TWO_WATCH_LBD` are kept on a single watch (lazy standby): they can
-still raise conflicts but never propagate, which is sound because they are
-implied by the input formula.
+literal the clause forced.  Every clause watches two literals: imports and
+vivified replacements are admitted at level 0 watching two unassigned ones.
 """
 
 from __future__ import annotations
@@ -25,11 +23,6 @@ from .stats import Stats
 SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
-
-# Imported clauses with a claimed LBD of at least this go on the one-watch
-# standby; imports with a lower LBD are two-watched immediately.  Under the
-# default `export_max_lbd` of 4, the standby holds exactly the LBD-4 imports.
-IMPORT_TWO_WATCH_LBD = 4
 
 # A dynamic restart fires when the recent LBD mean exceeds RESTART_K times
 # the global mean; clause activity decays by CLAUSE_DECAY per conflict.
@@ -122,7 +115,6 @@ class Engine:
         self.next_reduce = self.cfg.reduce_first
 
         self.watches = [[] for _ in range(2 * n + 1)]
-        self.watches_one = [[] for _ in range(2 * n + 1)]
         self.originals = []
         self.learned_db = []
         self._cid = 0
@@ -208,10 +200,6 @@ class Engine:
         self.watches[c.lits[0] + n].append(c)
         self.watches[c.lits[1] + n].append(c)
 
-    def _attach_one(self, c, wlit):
-        c.one_watched = True
-        self.watches_one[wlit + self.num_vars].append(c)
-
     def undo_probe_moves(self):
         """Roll back a vivification probe's watch moves: replay its literal
         swaps in reverse and drop its parked clauses.  Every clause then has
@@ -239,7 +227,6 @@ class Engine:
         n = self.num_vars
         litval = self.litval
         watches = self.watches
-        watches_one = self.watches_one
         trail = self.trail
         level = self.level
         reason = self.reason
@@ -250,8 +237,7 @@ class Engine:
             p = trail[qhead]
             qhead += 1
             np_ = -p  # the falsified literal
-            fidx = n + np_
-            wl = watches[fidx]
+            wl = watches[n + np_]
             # Compact in place: entries kept are written back to wl[:j], the
             # ones that moved to another list are dropped.  A move never
             # appends to wl itself (its target literal is not false).
@@ -311,24 +297,6 @@ class Engine:
                 break
             if moved:
                 del wl[j:]
-            # one-watch standby list: moves watches, detects full conflicts,
-            # never propagates
-            ol = watches_one[fidx]
-            if ol:
-                j = 0
-                for c in ol:
-                    for lk in c.lits:
-                        if lk != np_ and litval[lk + n] != -1:
-                            watches_one[lk + n].append(c)
-                            break
-                    else:
-                        ol[j] = c
-                        j += 1
-                        if confl is None:
-                            confl = c
-                del ol[j:]
-                if confl is not None:
-                    break
         self.qhead = qhead
         self.stats.propagations_total += qhead - start
         return confl
@@ -339,14 +307,13 @@ class Engine:
         A probe changes nothing but the engine's counters, so this kernel
         leaves every watch list as it is.  A watch move swaps the falsified
         watch, at position 0 or 1, with position k and parks the clause under
-        its new watch in ``_probe_parked`` (keyed by watch-list index, ``~i``
-        for the one-watch list ``i``).  A falsified literal's list is visited
-        before its parked clauses: the order in which a kernel that appends
-        moves to their target lists would visit them.  Inside one probe
-        assignments only grow, so a list is visited at most once and only
-        after every move into it; its stale entries, clauses that moved
-        away, sit in lists already visited.  The probed clause stays
-        attached and is skipped.
+        its new watch in ``_probe_parked``, keyed by watch-list index.  A
+        falsified literal's list is visited before its parked clauses: the
+        order in which a kernel that appends moves to their target lists
+        would visit them.  Inside one probe assignments only grow, so a list
+        is visited at most once and only after every move into it; its stale
+        entries, clauses that moved away, sit in lists already visited.  The
+        probed clause stays attached and is skipped.
 
         Positions 0 and 1 are put in search order (implied or other watch at
         0, falsified watch at 1) only when the clause becomes a reason or the
@@ -356,7 +323,6 @@ class Engine:
         n = self.num_vars
         litval = self.litval
         watches = self.watches
-        watches_one = self.watches_one
         trail = self.trail
         level = self.level
         reason = self.reason
@@ -425,19 +391,6 @@ class Engine:
                 level[v] = dl
                 reason[v] = c
                 trail.append(first)
-            if confl is not None:
-                break
-            ol = watches_one[fidx]
-            if ~fidx in parked:
-                ol = chain(ol, parked[~fidx])
-            for c in ol:
-                for lk in c.lits:
-                    if lk != np_ and litval[lk + n] != -1:
-                        parked[~(lk + n)].append(c)
-                        break
-                else:
-                    if confl is None:
-                        confl = c
             if confl is not None:
                 break
         self.qhead = qhead
@@ -654,11 +607,9 @@ class Engine:
         A clause true at level 0 is dropped; one with no unassigned literal
         marks the engine UNSAT; a single unassigned literal is enqueued and
         propagated (a conflict marks the engine UNSAT).  Any other clause
-        joins the learned database with its LBD clamped to [1, len].  An
-        import whose claimed LBD is at least `IMPORT_TWO_WATCH_LBD` goes on
-        the one-watch standby at its first unassigned literal; every other
-        clause watches two unassigned literals, moved into its own positions
-        0 and 1.  An import counts in ``clauses_imported`` unless dropped or
+        joins the learned database with its LBD clamped to [1, len] and
+        watches two unassigned literals, moved into its own positions 0 and
+        1.  An import counts in ``clauses_imported`` unless dropped or
         refuted.  Returns the new Clause, or None.
         """
         assert self.decision_level == 0
@@ -680,14 +631,11 @@ class Engine:
         self._cid += 1
         c = Clause(lits, max(1, min(lbd, len(lits))), True, imported, self._cid)
         self.learned_db.append(c)
-        if imported and lbd >= IMPORT_TWO_WATCH_LBD:
-            self._attach_one(c, free[0])
-        else:
-            own = c.lits
-            for pos in (0, 1):
-                i = own.index(free[pos])
-                own[pos], own[i] = own[i], own[pos]
-            self._attach(c)
+        own = c.lits
+        for pos in (0, 1):
+            i = own.index(free[pos])
+            own[pos], own[i] = own[i], own[pos]
+        self._attach(c)
         return c
 
     def replace_clause(self, old, new_lits, new_lbd):
@@ -711,17 +659,8 @@ class Engine:
     def remove_clause(self, c):
         """Detach and drop a clause: satisfied at level 0, replaced or reduced."""
         n = self.num_vars
-        if c.one_watched:
-            for l in c.lits:
-                wl = self.watches_one[l + n]
-                if c in wl:
-                    wl.remove(c)
-                    break
-            else:
-                raise AssertionError("one-watched clause not found in any watch list")
-        else:
-            self.watches[c.lits[0] + n].remove(c)
-            self.watches[c.lits[1] + n].remove(c)
+        self.watches[c.lits[0] + n].remove(c)
+        self.watches[c.lits[1] + n].remove(c)
         c.removed = True
         v0 = abs(c.lits[0])
         if self.reason[v0] is c:  # level-0 reasons may dangle otherwise
@@ -836,28 +775,18 @@ class Engine:
         live = [c for c in self.originals + self.learned_db
                 if not c.removed and len(c.lits) >= 2]
         for c in live:
-            if c.one_watched:
-                hits = sum(1 for l in c.lits if c in self.watches_one[l + n])
-                assert hits == 1, f"one-watched {c!r} on {hits} lists"
-            else:
-                assert c in self.watches[c.lits[0] + n], f"{c!r} missing watch 0"
-                assert c in self.watches[c.lits[1] + n], f"{c!r} missing watch 1"
-                if self.qhead == len(self.trail):
-                    v0, v1 = self.value(c.lits[0]), self.value(c.lits[1])
-                    assert not (v0 == -1 and v1 == -1), f"{c!r} has two false watches"
-                    if v0 == -1:
-                        assert v1 == 1, f"{c!r} false watch 0 without satisfied partner"
-                    if v1 == -1:
-                        assert v0 == 1, f"{c!r} false watch 1 without satisfied partner"
+            assert c in self.watches[c.lits[0] + n], f"{c!r} missing watch 0"
+            assert c in self.watches[c.lits[1] + n], f"{c!r} missing watch 1"
+            if self.qhead == len(self.trail):
+                v0, v1 = self.value(c.lits[0]), self.value(c.lits[1])
+                assert not (v0 == -1 and v1 == -1), f"{c!r} has two false watches"
+                if v0 == -1:
+                    assert v1 == 1, f"{c!r} false watch 0 without satisfied partner"
+                if v1 == -1:
+                    assert v0 == 1, f"{c!r} false watch 1 without satisfied partner"
         for idx, wl in enumerate(self.watches):
             for c in wl:
                 lit = idx - n
-                assert not c.one_watched, f"one-watched {c!r} on a two-watch list"
                 assert lit in (c.lits[0], c.lits[1]), f"stale watch entry for {c!r}"
-                assert not c.removed, f"removed clause {c!r} still watched"
-        for idx, ol in enumerate(self.watches_one):
-            for c in ol:
-                assert c.one_watched, f"two-watched {c!r} on a one-watch list"
-                assert idx - n in c.lits, f"stale one-watch entry for {c!r}"
                 assert not c.removed, f"removed clause {c!r} still watched"
         return True

@@ -294,8 +294,7 @@ class Clause:
     """
 
     __slots__ = ("lits", "lbd", "activity", "learned", "imported",
-                 "vivify_attempted", "protected", "link", "cid", "removed",
-                 "one_watched")
+                 "vivify_attempted", "protected", "link", "cid", "removed")
 
     def __init__(self, lits, lbd=1, learned=False, imported=False, cid=0):
         self.lits = list(lits)
@@ -308,7 +307,6 @@ class Clause:
         self.link = None
         self.cid = cid
         self.removed = False
-        self.one_watched = False
 
     def __len__(self):
         return len(self.lits)

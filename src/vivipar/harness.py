@@ -117,9 +117,9 @@ def _build_parser():
                    help="learned-clause minimization mode (default: none)")
     p.add_argument("--ecm-max-lbd", type=int, default=3, metavar="N",
                    help="ECM withholds clauses with LBD <= N (default: 3)")
-    p.add_argument("--threads", type=int, default=portfolio.default_workers(),
-                   metavar="N",
-                   help="portfolio size: workers that take round-robin turns")
+    p.add_argument("--threads", type=int, default=2, metavar="N",
+                   help="portfolio size: workers that take round-robin turns "
+                        "(default: 2)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
     p.add_argument("--deterministic", action="store_true",

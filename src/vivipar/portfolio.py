@@ -13,7 +13,6 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -23,9 +22,6 @@ from .exchange import SharedPool
 from .formula import evaluate
 from .stats import Stats, merge_stats
 from .strategy import KINDS, LcmMode, NONE, Strategy
-
-MAX_DEFAULT_WORKERS = 34
-
 
 class ConfigError(Exception):
     """Contradictory or out-of-range portfolio configuration."""
@@ -41,10 +37,6 @@ class WorkerFault(Exception):
     def __init__(self, worker, error):
         super().__init__(f"worker {worker} failed: {type(error).__name__}: {error}")
         self.worker = worker
-
-
-def default_workers():
-    return min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
 
 
 @dataclass

@@ -65,7 +65,7 @@ def satisfied_at_root(engine, clause):
 def vivify_clause(engine, clause):
     """Probe one clause at decision level 0 and report the outcome.
 
-    Preconditions: no pending propagation, clause two-watched and not
+    Preconditions: no pending propagation, clause attached and not
     satisfied at level 0.  Marks the clause as attempted regardless of the
     result and aborts as Unchanged once the probe has spent more than
     `VIVIFY_BUDGET` propagations.  The database is not modified here; pair with
@@ -78,7 +78,6 @@ def vivify_clause(engine, clause):
     stats.vivify_attempts += 1
     clause.vivify_attempted = True
 
-    assert not clause.one_watched, "vivification probes two-watched clauses only"
     engine._probing = clause
     start = stats.propagations_vivify
 

@@ -78,7 +78,6 @@ def fingerprint(eng):
             [r if r is None else r.cid for r in eng.reason], eng.qhead,
             list(eng.activity), list(eng.saved_phase), eng.var_inc, eng.cla_inc,
             [[c.cid for c in wl] for wl in eng.watches],
-            [[c.cid for c in wl] for wl in eng.watches_one],
             {c.cid: (list(c.lits), c.lbd, c.activity)
              for c in eng.originals + eng.learned_db})
 
@@ -89,8 +88,9 @@ def engine_checks(monkeypatch):
     learned clause is falsified after analysis (in probes too), analysis
     leaves no variable marked in ``seen``, the learned clause is
     asserting when `_learn` stores it (every literal but the first is false,
-    the first unassigned), and every clause `_learn` or `_admit` makes passes
-    `check_meta`.  Every vivification probe a `Strategy` makes leaves the
+    the first unassigned), every clause `_learn` or `_admit` makes passes
+    `check_meta`, and every clause `_admit` makes watches its positions 0 and
+    1, both unassigned.  Every vivification probe a `Strategy` makes leaves the
     engine's `fingerprint` as it found it."""
     analyze, learn, admit = Engine.analyze_conflict, Engine._learn, Engine._admit
     vivify_clause = vivipar.strategy.vivify_clause
@@ -113,6 +113,10 @@ def engine_checks(monkeypatch):
         c = admit(self, lits, lbd, imported)
         if c is not None:
             check_meta(c)
+            n = self.num_vars
+            for l in c.lits[:2]:
+                assert self.value(l) == 0, "admitted clause watches an assigned literal"
+                assert c in self.watches[l + n], "admitted clause not on its watch list"
         return c
 
     def checked_vivify_clause(engine, clause):

@@ -49,6 +49,10 @@ TINY_KNOBS = dict(reduce_first=30, reduce_inc=15, restart_window=8,
 TINY_PCM_KNOBS = dict(TINY_KNOBS, reduce_first=10, reduce_inc=5)
 
 
+def tiny_knobs(mode):
+    return TINY_PCM_KNOBS if mode.kind in ("pcm", "lpcm") else TINY_KNOBS
+
+
 def corpus_formula(seed):
     n = random.Random(seed).randint(10, 25)
     return gen_random_3sat(n, round(4.26 * n), seed)
@@ -72,29 +76,33 @@ def _solve_against_oracle(seed):
     """Solve one corpus instance in every mode with 1 and 4 workers.  The
     4-worker runs take turns of 4 conflicts, so that workers 1-3 run and
     import clauses before worker 0 answers alone; returns, per mode, whether
-    they did."""
+    they did, and per (mode, workers) whether the run attempted a
+    vivification."""
     f = corpus_formula(seed)
     want = brute_force(f)[0]
     mismatches = []
     sat_runs = 0
     model_failures = 0
     shared = {}
+    vivified = {}
     for label in MODE_LABELS:
+        mode = mode_from_label(label)
         for workers, quantum in ((1, 64), (4, 4)):
             res = run(f, PortfolioConfig(
-                num_workers=workers, lcm=mode_from_label(label), seed=seed,
-                deterministic=True, **{**TINY_KNOBS, "quantum": quantum}))
+                num_workers=workers, lcm=mode, seed=seed,
+                deterministic=True, **{**tiny_knobs(mode), "quantum": quantum}))
             if res.status != want:
                 mismatches.append((seed, label, workers, res.status, want))
             if res.status == SAT:
                 sat_runs += 1
                 if len(res.model) != f.num_vars or not evaluate(f, res.model):
                     model_failures += 1
+            stats = res.worker_stats
+            vivified[label, workers] = any(s.vivify_attempts for s in stats)
             if workers == 4:
-                stats = res.worker_stats
                 shared[label] = (any(s.conflicts for s in stats[1:]),
                                  any(s.clauses_imported for s in stats))
-    return mismatches, sat_runs, model_failures, shared
+    return mismatches, sat_runs, model_failures, shared, vivified
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +123,18 @@ def test_criterion_1_oracle_equivalence(oracle_equivalence_results, capsys):
     for label, (ran, imported) in shared.items():
         assert ran > 0, f"{label}: workers 1-3 had no conflict in any run"
         assert imported > 0, f"{label}: no 4-worker run imported a clause"
+    # every vivifying mode meets the oracle with vivification at work
+    vivified = {label: [sum(r[4][label, w] for r in oracle_equivalence_results)
+                        for w in (1, 4)] for label in VIVIFY_MODE_LABELS}
+    for label, counts in vivified.items():
+        for workers, count in zip((1, 4), counts):
+            assert count > 0, f"{label}: no {workers}-worker run vivified"
     announce(capsys, f"\nACCEPTANCE 1 oracle equivalence: PASS "
           f"({total} runs over {N_CORPUS} instances, 0 mismatches; 4-worker "
           f"runs in which workers 1-3 searched / clauses were imported: "
-          + ", ".join(f"{l} {r}/{i}" for l, (r, i) in shared.items()) + ")")
+          + ", ".join(f"{l} {r}/{i}" for l, (r, i) in shared.items())
+          + "; 1-/4-worker runs that attempted a vivification: "
+          + ", ".join(f"{l} {a}/{b}" for l, (a, b) in vivified.items()) + ")")
 
 
 @pytest.mark.slow
@@ -141,10 +157,9 @@ def _instrumented_run(args):
     # two workers, since a worker exports only when another exists to
     # import; turns of 8 conflicts let worker 1 run in about 30 % of these
     # runs (with turns of 64, worker 0 solves every instance alone)
-    knobs = TINY_KNOBS if mode.kind == "ecm" else TINY_PCM_KNOBS
     run(f, PortfolioConfig(num_workers=2, lcm=mode, seed=seed,
                            deterministic=True, recorder=log.append,
-                           **{**knobs, "quantum": 8}))
+                           **{**tiny_knobs(mode), "quantum": 8}))
     replacements = unsound = 0
     for _, _, old, new in of_kind(log, "replace"):
         replacements += 1

@@ -455,70 +455,21 @@ def test_vsids_rescale_preserves_order():
     assert eng.activity[4] == 5e-100
 
 
-def test_import_watches_unassigned_literals():
+@pytest.mark.parametrize("lbd", [2, 4, 5])
+def test_import_watches_unassigned_literals(lbd):
     # -1 holds at level 0, so the import (1 2 3) must watch 2 and 3 in its
-    # own positions 0 and 1, and propagate 2 once 3 is false
+    # own positions 0 and 1, and propagate 2 once 3 is false, whatever LBD
+    # it claims
     pool = SharedPool(2)
     eng = Engine(mk_formula(3, [[-1]]), EngineConfig(), worker_id=1)
     strat = Strategy(NONE, eng, pool)
     assert eng.propagate() is None
-    pool.broadcast(SharedClause((1, 2, 3), 2, 0))
+    pool.broadcast(SharedClause((1, 2, 3), lbd, 0))
     strat.on_level_zero()
     assert eng.stats.clauses_imported == 1
     imported = eng.learned_db[0]
-    assert not imported.one_watched
     assert eng.value(imported.lits[0]) == 0 and eng.value(imported.lits[1]) == 0
     eng.assume(-3)
     assert eng.propagate() is None
     assert eng.value(2) == 1
     assert eng.reason[2] is imported
-
-
-def test_lazy_import_one_watch_conflict_detection():
-    # a one-watched clause must still raise a conflict when fully falsified
-    pool = SharedPool(2)
-    f = mk_formula(5, [[1, 2, 3, 4, 5]])
-    eng = Engine(f, EngineConfig(), worker_id=0)
-    strat = Strategy(NONE, eng, pool)
-    pool.broadcast(SharedClause(lits=(-1, -2, -3), lbd=5, origin=1))
-    eng.propagate()
-    strat.on_level_zero()
-    assert eng.stats.clauses_imported == 1
-    imported = eng.learned_db[0]
-    assert imported.one_watched  # lbd 5 >= 4: standby watch
-    eng.assume(1)
-    eng.assume(2)
-    confl = eng.propagate()
-    assert confl is None  # one-watch moves along, -3 is never propagated
-    assert eng.value(3) == 0
-    eng.assume(3)
-    confl = eng.propagate()
-    assert confl is imported
-
-
-def test_check_watches_reports_stale_standby_entries():
-    # a one-watch list must hold only live one-watched clauses containing
-    # its literal, and no one-watched clause may sit on a two-watch list
-    pool = SharedPool(2)
-    eng = Engine(mk_formula(5, [[1, 2, 3, 4, 5]]), EngineConfig(), worker_id=0)
-    strat = Strategy(NONE, eng, pool)
-    pool.broadcast(SharedClause(lits=(-1, -2, -3), lbd=5, origin=1))
-    assert eng.propagate() is None
-    strat.on_level_zero()
-    assert eng.stats.clauses_imported == 1
-    standby = eng.learned_db[0]
-    assert standby.one_watched and eng.check_watches()
-    n = eng.num_vars
-
-    def planted(lst, c, match):
-        lst.append(c)
-        with pytest.raises(AssertionError, match=match):
-            eng.check_watches()
-        lst.pop()
-        assert eng.check_watches()
-
-    planted(eng.watches_one[4 + n], standby, "stale one-watch entry")
-    planted(eng.watches_one[1 + n], eng.originals[0], "two-watched .* one-watch list")
-    planted(eng.watches[-1 + n], standby, "one-watched .* two-watch list")
-    eng.remove_clause(standby)
-    planted(eng.watches_one[-1 + n], standby, "removed clause")

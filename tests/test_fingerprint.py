@@ -55,22 +55,21 @@ MODES = ("none", "pcm", "lpcm", "ecm3", "ecm4")
 # (status, winner, per-worker counters)
 GOLDEN = {
     # php65
-    # worker 1 re-recorded (1032 -> 1034) by the import-watch fix
-    ('php65', 'none'): ('UNSAT', 1, (
-        (1122, 0, 0, 0, 0, 99, 71, 49, 0, 0, 1, 1, 99, 0),
-        (1034, 0, 0, 0, 0, 91, 69, 60, 0, 0, 0, 1, 91, 0),
+    ('php65', 'none'): ('UNSAT', 0, (
+        (1154, 0, 0, 0, 0, 98, 73, 50, 0, 0, 1, 1, 98, 0),
+        (911, 0, 0, 0, 0, 81, 60, 43, 0, 0, 0, 1, 81, 0),
     )),
-    ('php65', 'pcm'): ('UNSAT', 1, (
-        (1711, 519, 26, 10, 26, 100, 71, 48, 0, 0, 2, 1, 100, 0),
-        (1554, 471, 25, 12, 25, 95, 73, 66, 0, 0, 0, 1, 95, 0),
+    ('php65', 'pcm'): ('UNSAT', 0, (
+        (1799, 540, 26, 12, 25, 103, 72, 55, 0, 0, 2, 1, 103, 0),
+        (1599, 469, 25, 12, 22, 103, 63, 65, 0, 0, 1, 1, 103, 0),
     )),
     ('php65', 'lpcm'): ('UNSAT', 0, (
-        (1706, 519, 26, 10, 26, 97, 66, 57, 10, 0, 1, 1, 97, 0),
-        (1432, 471, 25, 12, 25, 83, 72, 48, 11, 9, 0, 1, 83, 0),
+        (1764, 540, 26, 12, 25, 101, 72, 62, 12, 0, 2, 1, 101, 0),
+        (1556, 469, 25, 12, 22, 96, 68, 47, 11, 12, 0, 1, 96, 0),
     )),
     ('php65', 'ecm3'): ('UNSAT', 1, (
-        (1698, 590, 34, 18, 43, 100, 62, 23, 0, 0, 2, 1, 100, 0),
-        (1042, 0, 0, 0, 0, 94, 29, 58, 0, 0, 0, 1, 94, 0),
+        (1616, 518, 28, 11, 20, 99, 56, 24, 0, 0, 1, 1, 99, 0),
+        (1023, 0, 0, 0, 0, 91, 33, 53, 0, 0, 0, 1, 91, 0),
     )),
     ('php65', 'ecm4'): ('UNSAT', 1, (
         (1789, 674, 35, 18, 34, 99, 38, 2, 0, 0, 1, 1, 99, 0),
@@ -89,9 +88,9 @@ GOLDEN = {
         (472, 0, 0, 0, 0, 34, 32, 0, 0, 0, 0, 0, 34, 0),
         (453, 11, 1, 1, 3, 31, 28, 32, 1, 0, 0, 0, 31, 0),
     )),
-    ('uf50-1', 'ecm3'): ('UNSAT', 1, (
-        (760, 66, 6, 6, 12, 54, 24, 10, 0, 0, 1, 1, 54, 0),
-        (441, 0, 0, 0, 0, 36, 11, 11, 0, 0, 0, 1, 36, 0),
+    ('uf50-1', 'ecm3'): ('UNSAT', 0, (
+        (795, 150, 11, 10, 21, 50, 26, 11, 0, 0, 1, 1, 50, 0),
+        (391, 0, 0, 0, 0, 32, 11, 5, 0, 0, 0, 1, 32, 0),
     )),
     ('uf50-1', 'ecm4'): ('UNSAT', 0, (
         (745, 29, 1, 1, 2, 50, 5, 0, 0, 0, 1, 1, 50, 0),
@@ -140,25 +139,25 @@ GOLDEN = {
         (63, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0),
     )),
     # php76
-    ('php76', 'none'): ('UNSAT', 0, (
-        (9986, 0, 0, 0, 0, 752, 123, 83, 0, 0, 13, 2, 752, 0),
-        (9139, 0, 0, 0, 0, 721, 84, 80, 0, 0, 5, 2, 721, 0),
+    ('php76', 'none'): ('UNSAT', 1, (
+        (10148, 0, 0, 0, 0, 784, 154, 97, 0, 0, 12, 2, 784, 0),
+        (9709, 0, 0, 0, 0, 776, 145, 116, 0, 0, 5, 2, 776, 0),
     )),
-    ('php76', 'pcm'): ('UNSAT', 1, (
-        (14655, 5417, 205, 93, 186, 719, 122, 107, 0, 0, 13, 2, 719, 0),
-        (13820, 4985, 202, 95, 252, 691, 124, 113, 0, 0, 5, 2, 691, 0),
+    ('php76', 'pcm'): ('UNSAT', 0, (
+        (14389, 4982, 203, 127, 362, 708, 102, 92, 0, 0, 13, 2, 708, 0),
+        (13718, 5173, 198, 94, 238, 645, 92, 71, 0, 0, 5, 2, 645, 0),
     )),
-    ('php76', 'lpcm'): ('UNSAT', 1, (
-        (14028, 4617, 176, 78, 163, 724, 93, 99, 22, 3, 13, 2, 724, 0),
-        (14302, 5071, 209, 82, 170, 716, 131, 91, 24, 20, 5, 2, 716, 0),
+    ('php76', 'lpcm'): ('UNSAT', 0, (
+        (16464, 5277, 200, 75, 167, 882, 134, 129, 21, 15, 14, 2, 882, 0),
+        (16243, 5367, 199, 89, 255, 843, 144, 112, 26, 12, 6, 2, 843, 0),
     )),
-    ('php76', 'ecm3'): ('UNSAT', 1, (
-        (9630, 621, 24, 6, 9, 712, 95, 106, 0, 0, 13, 2, 712, 0),
-        (9875, 925, 44, 15, 28, 701, 118, 90, 0, 0, 5, 2, 701, 0),
+    ('php76', 'ecm3'): ('UNSAT', 0, (
+        (10663, 501, 18, 3, 6, 808, 94, 92, 0, 0, 13, 2, 808, 0),
+        (10775, 695, 26, 10, 24, 776, 102, 85, 0, 0, 5, 2, 776, 0),
     )),
-    ('php76', 'ecm4'): ('UNSAT', 0, (
-        (11461, 1388, 55, 16, 33, 772, 58, 114, 0, 0, 12, 2, 772, 0),
-        (12272, 3205, 116, 36, 78, 712, 116, 55, 0, 0, 5, 2, 712, 0),
+    ('php76', 'ecm4'): ('UNSAT', 1, (
+        (12037, 1652, 62, 19, 41, 845, 64, 109, 0, 0, 15, 2, 845, 0),
+        (14701, 4402, 167, 67, 156, 816, 170, 64, 0, 0, 6, 2, 816, 0),
     )),
 }
 
@@ -210,12 +209,12 @@ def test_watch_invariant_between_turns(case):
 SHARING_EVENTS = ("learn", "withhold", "export", "vivify", "replace",
                   "reduce_remove", "publish", "adopt")
 GOLDEN_EVENTS = {
-    "lpcm": ({"adopt": 9, "export": 138, "learn": 180, "publish": 21,
-              "reduce_remove": 66, "replace": 22, "vivify": 51},
-             "7ffd7c8a75046d568310095025ba24725f79f0032bc52ebc0f834fe75e2efdbe"),
-    "ecm3": ({"export": 91, "learn": 194, "reduce_remove": 23, "replace": 18,
-              "vivify": 34, "withhold": 84},
-             "0f04c740fb28042f0b42de67cf06315d78fa48856e523c199fe5673a4ac410f6"),
+    "lpcm": ({"adopt": 12, "export": 140, "learn": 197, "publish": 23,
+              "reduce_remove": 69, "replace": 24, "vivify": 51},
+             "300787e1804bbd0341e59b2e722abe1ba6fc37c94b067d125950b4db8861d78e"),
+    "ecm3": ({"export": 89, "learn": 190, "reduce_remove": 23, "replace": 11,
+              "vivify": 28, "withhold": 84},
+             "cca9cf5de297fe8d6d49648a7bc5763d4a8f396dc3fb4e86aff740172474ec49"),
 }
 
 

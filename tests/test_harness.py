@@ -138,6 +138,14 @@ def test_cli_unsat_exit_20(unsat_file, capsys):
     assert "s UNSATISFIABLE" in capsys.readouterr().out
 
 
+def test_cli_default_portfolio_has_two_workers(unsat_file, capsys, monkeypatch):
+    # all workers take turns on one thread, so the core count must not size
+    # the default portfolio; two is the smallest that shares clauses
+    monkeypatch.setattr(os, "cpu_count", lambda: 34)
+    assert cli_main([unsat_file, "--deterministic"]) == 20
+    assert "workers=2, deterministic" in capsys.readouterr().out
+
+
 def test_cli_unknown_exit_0(tmp_path, capsys):
     f = gen_random_3sat(50, 213, seed=1)
     p = tmp_path / "hard.cnf"

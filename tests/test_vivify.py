@@ -74,23 +74,16 @@ def test_vivify_conflict_replacement():
 # and every clause's literal order exactly as it found them.
 
 
-def engine_with_lists(num_vars, two_watched, one_watched=()):
+def engine_with_lists(num_vars, clauses):
     """Engine over an empty formula plus learned clauses with exact literal
-    order, attached in the given order.  ``one_watched`` holds
-    (lits, watched position) pairs put on the one-watch standby."""
+    order, attached in the given order."""
     eng = Engine(mk_formula(num_vars, []), EngineConfig())
     added = []
-    for lits in two_watched:
+    for lits in clauses:
         eng._cid += 1
         c = Clause(list(lits), lbd=2, learned=True, cid=eng._cid)
         eng.learned_db.append(c)
         eng._attach(c)
-        added.append(c)
-    for lits, pos in one_watched:
-        eng._cid += 1
-        c = Clause(list(lits), lbd=2, learned=True, imported=True, cid=eng._cid)
-        eng.learned_db.append(c)
-        eng._attach_one(c, lits[pos])
         added.append(c)
     return eng, added
 
@@ -98,16 +91,13 @@ def engine_with_lists(num_vars, two_watched, one_watched=()):
 def probe_and_check(eng, clause, kind):
     """Vivify ``clause``, check the outcome kind and that the probe left the
     engine's `fingerprint` as it found it.  Returns the probe's watch moves,
-    read just before its rollback, as {new watch: [cid, ...]} for the
-    two-watch and the one-watch lists."""
+    read just before its rollback, as {new watch: [cid, ...]}."""
     n = eng.num_vars
-    moves = []
+    moves = {}
     undo = eng.undo_probe_moves
 
     def undo_probe_moves():
-        parked = eng._probe_parked
-        moves.append({i - n: [c.cid for c in wl] for i, wl in parked.items() if i >= 0})
-        moves.append({~i - n: [c.cid for c in wl] for i, wl in parked.items() if i < 0})
+        moves.update((i - n, [c.cid for c in wl]) for i, wl in eng._probe_parked.items())
         undo()
 
     eng.undo_probe_moves = undo_probe_moves
@@ -125,9 +115,8 @@ def test_rollback_clause_moved_twice_into_falsified_list():
     eng, cl = engine_with_lists(20, [
         [1, 5, 6, 7], [2, -6], [1, 8], [1, 9, 10], [9, 1, 11],
         [6, 12], [6, 13, 14], [13, 6, 15], [1, 2, 3]])
-    two, one = probe_and_check(eng, cl[-1], UNCHANGED)
-    assert two == {6: [1], 10: [4], 11: [5], 14: [7], 15: [8], 7: [1]}
-    assert one == {}
+    moves = probe_and_check(eng, cl[-1], UNCHANGED)
+    assert moves == {6: [1], 10: [4], 11: [5], 14: [7], 15: [8], 7: [1]}
 
 
 def test_rollback_conflict_mid_watch_list():
@@ -136,29 +125,7 @@ def test_rollback_conflict_mid_watch_list():
     eng, cl = engine_with_lists(30, [
         [1, -22], [1, 20, 21], [1, 22], [1, 23, 24], [25, 1], [21, 26],
         [1, 3, 4]])
-    two, one = probe_and_check(eng, cl[-1], CONFLICT_REPLACED)
-    assert two == {21: [2]}
-    assert one == {}
-
-
-def test_rollback_one_watch_relocation():
-    # probe (-1, -30, -36): #2, #3, #5 leave standby list 1; #2 lands on
-    # list 30, which -30 then empties (#4 and #2 both move on)
-    eng, cl = engine_with_lists(40, [[1, 30, 36]], [
-        ([1, 30, 31], 0), ([32, 1, 33], 1), ([30, 35], 0), ([1, 37], 0)])
-    two, one = probe_and_check(eng, cl[0], UNCHANGED)
-    assert two == {}
-    assert one == {30: [2], 32: [3], 37: [5], 35: [4], 31: [2]}
-
-
-def test_rollback_one_watch_conflict_keeps_scanning():
-    # probe (-2, -1): on standby list 1, #4 conflicts between #3 and #5,
-    # both of which still move (#3 onto list 40, which keeps its resident)
-    eng, cl = engine_with_lists(45, [[2, -22], [2, 1, 3]], [
-        ([1, 40, 41], 0), ([1, 22], 0), ([1, 42], 0), ([40, 43], 0)])
-    two, one = probe_and_check(eng, cl[1], CONFLICT_REPLACED)
-    assert two == {}
-    assert one == {40: [3], 42: [5]}
+    assert probe_and_check(eng, cl[-1], CONFLICT_REPLACED) == {21: [2]}
 
 
 # One visit of the probe kernel to clause C, watched on 1 and 2, when 1 is
