@@ -13,9 +13,8 @@ vivified replacements are admitted at level 0 watching two unassigned ones.
 from __future__ import annotations
 
 import time
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 from .formula import Clause
 from .stats import Stats
@@ -121,11 +120,9 @@ class Engine:
         self._terminal = None
         self._deadline = None  # of the running step()
 
-        # the clause a vivification probe is testing (None outside probes)
-        # and the probe's rollback records, see _propagate_probe
+        # the clause a vivification probe is testing, off its watch lists
+        # until `undo_probe_moves` (None outside probes)
         self._probing = None
-        self._probe_swaps = []
-        self._probe_parked = defaultdict(list)
 
         if formula.contains_empty:
             self._terminal = UNSAT
@@ -200,16 +197,16 @@ class Engine:
         self.watches[c.lits[0] + n].append(c)
         self.watches[c.lits[1] + n].append(c)
 
+    def _detach(self, c):
+        n = self.num_vars
+        self.watches[c.lits[0] + n].remove(c)
+        self.watches[c.lits[1] + n].remove(c)
+
     def undo_probe_moves(self):
-        """Roll back a vivification probe's watch moves: replay its literal
-        swaps in reverse and drop its parked clauses.  Every clause then has
-        its pre-probe literal order again; the watch lists were never
-        written."""
-        for c, a, b in reversed(self._probe_swaps):
-            lits = c.lits
-            lits[a], lits[b] = lits[b], lits[a]
-        self._probe_swaps.clear()
-        self._probe_parked.clear()
+        """End a vivification probe: put the probed clause back on the watch
+        lists of its positions 0 and 1, which the probe left untouched."""
+        self._attach(self._probing)
+        self._probing = None
 
     # ------------------------------------------------------------------
     # propagation
@@ -218,12 +215,9 @@ class Engine:
         """Boolean constraint propagation to fixpoint.
 
         Returns the conflicting clause, or None.  Every processed trail
-        literal counts as one propagation.  Inside a vivification probe the
-        work goes to `_propagate_probe`, which also attributes the
-        propagations to vivification.
+        literal counts as one propagation.  Vivification probes run this
+        kernel too, with the probed clause detached.
         """
-        if self._probing is not None:
-            return self._propagate_probe()
         n = self.num_vars
         litval = self.litval
         watches = self.watches
@@ -299,104 +293,6 @@ class Engine:
                 del wl[j:]
         self.qhead = qhead
         self.stats.propagations_total += qhead - start
-        return confl
-
-    def _propagate_probe(self):
-        """`propagate` inside a vivification probe, writing no watch list.
-
-        A probe changes nothing but the engine's counters, so this kernel
-        leaves every watch list as it is.  A watch move swaps the falsified
-        watch, at position 0 or 1, with position k and parks the clause under
-        its new watch in ``_probe_parked``, keyed by watch-list index.  A
-        falsified literal's list is visited before its parked clauses: the
-        order in which a kernel that appends moves to their target lists
-        would visit them.  Inside one probe assignments only grow, so a list
-        is visited at most once and only after every move into it; its stale
-        entries, clauses that moved away, sit in lists already visited.  The
-        probed clause stays attached and is skipped.
-
-        Positions 0 and 1 are put in search order (implied or other watch at
-        0, falsified watch at 1) only when the clause becomes a reason or the
-        conflict: conflict analysis reads the literal order of no other
-        clause.  Every literal swap is logged for `undo_probe_moves`.
-        """
-        n = self.num_vars
-        litval = self.litval
-        watches = self.watches
-        trail = self.trail
-        level = self.level
-        reason = self.reason
-        dl = self.decision_level
-        probed = self._probing
-        swaps = self._probe_swaps
-        parked = self._probe_parked
-        confl = None
-        nprops = 0
-        qhead = self.qhead
-        while qhead < len(trail):
-            p = trail[qhead]
-            qhead += 1
-            nprops += 1
-            np_ = -p  # the falsified literal
-            fidx = n - p
-            wl = watches[fidx]
-            if fidx in parked:
-                wl = chain(wl, parked[fidx])
-            for c in wl:
-                if c is probed:
-                    continue
-                lits = c.lits
-                first = lits[0]
-                if first == np_:
-                    first = lits[1]
-                    w = 0
-                else:
-                    w = 1
-                if litval[first + n] == 1:
-                    continue
-                size = len(lits)
-                if size > 2:
-                    lk = lits[2]
-                    if litval[lk + n] != -1:
-                        lits[w] = lk
-                        lits[2] = np_
-                        swaps.append((c, w, 2))
-                        parked[lk + n].append(c)
-                        continue
-                    if size > 3:
-                        for k in range(3, size):
-                            lk = lits[k]
-                            if litval[lk + n] != -1:
-                                lits[w] = lk
-                                lits[k] = np_
-                                swaps.append((c, w, k))
-                                parked[lk + n].append(c)
-                                break
-                        else:
-                            k = 0  # no replacement
-                        if k:
-                            continue
-                # no replacement watch: unit or conflict
-                if w == 0:
-                    lits[0] = first
-                    lits[1] = np_
-                    swaps.append((c, 0, 1))
-                if litval[first + n] == -1:
-                    confl = c
-                    break
-                # unit: lits[0] is implied
-                litval[first + n] = 1
-                litval[n - first] = -1
-                v = first if first > 0 else -first
-                level[v] = dl
-                reason[v] = c
-                trail.append(first)
-            if confl is not None:
-                break
-        self.qhead = qhead
-        stats = self.stats
-        stats.propagations_total += nprops
-        stats.propagations_vivify += nprops
         return confl
 
     # ------------------------------------------------------------------
@@ -658,9 +554,7 @@ class Engine:
 
     def remove_clause(self, c):
         """Detach and drop a clause: satisfied at level 0, replaced or reduced."""
-        n = self.num_vars
-        self.watches[c.lits[0] + n].remove(c)
-        self.watches[c.lits[1] + n].remove(c)
+        self._detach(c)
         c.removed = True
         v0 = abs(c.lits[0])
         if self.reason[v0] is c:  # level-0 reasons may dangle otherwise

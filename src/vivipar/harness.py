@@ -215,8 +215,18 @@ def cli_main(argv=None):
         print("s UNSATISFIABLE")
         print(f"c solved by worker {result.winner} in {result.wall_seconds:.3f}s")
         return 20
+    print(f"c {_stop_reason(result, config)}")
     print("s UNKNOWN")
     return 0
+
+
+def _stop_reason(result, config):
+    """What ended a run without an answer: every worker spent its conflict
+    budget, or else the time limit passed."""
+    limit = config.conflict_limit
+    if limit is not None and all(s.conflicts >= limit for s in result.worker_stats):
+        return f"stopped: every worker spent --conflict-limit {limit}"
+    return f"stopped: time limit of {config.time_limit:g} s reached"
 
 
 def _print_model(model, per_line=16):

@@ -9,9 +9,12 @@ and propagated.  Three things can happen:
   clause shrinks to the processed prefix plus that literal;
 * a literal is already false without having been assumed: it is dropped.
 
-A probe changes nothing but the engine's counters and the clause's attempted
-flag: every watch list keeps its clauses in their order, every clause its
-literal order, and the heuristics (activities, phases) are not touched.
+A probe runs the search kernel with the probed clause detached, since that
+clause would otherwise imply its own last literal.  It leaves the assignment,
+the heuristics (activities, phases) and every clause's literal set as it
+found them, and changes only the counters and the clause's attempted flag.
+The order of the watch lists and of the literals inside clauses may change,
+as after any backtrack.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ def vivify_clause(engine, clause):
     Preconditions: no pending propagation, clause attached and not
     satisfied at level 0.  Marks the clause as attempted regardless of the
     result and aborts as Unchanged once the probe has spent more than
-    `VIVIFY_BUDGET` propagations.  The database is not modified here; pair with
-    `apply_outcome`.  Emits ``("vivify", w, cid, kind)`` to the engine's
-    recorder.
+    `VIVIFY_BUDGET` propagations.  The clause is off its watch lists during
+    the probe, and back on them after.  The database is not modified here;
+    pair with `apply_outcome`.  Emits ``("vivify", w, cid, kind)`` to the
+    engine's recorder.
     """
     assert engine.decision_level == 0, "vivification runs at decision level 0 only"
     assert engine.qhead == len(engine.trail), "pending propagation before vivify"
@@ -78,8 +82,9 @@ def vivify_clause(engine, clause):
     stats.vivify_attempts += 1
     clause.vivify_attempted = True
 
+    engine._detach(clause)
     engine._probing = clause
-    start = stats.propagations_vivify
+    start = stats.propagations_total
 
     lits = list(clause.lits)
     prefix = []
@@ -99,7 +104,7 @@ def vivify_clause(engine, clause):
             continue
         engine.assume(-l)
         confl = engine.propagate()
-        if stats.propagations_vivify - start > VIVIFY_BUDGET:
+        if stats.propagations_total - start > VIVIFY_BUDGET:
             result = (UNCHANGED, None, None)
             break
         if confl is not None:
@@ -112,8 +117,8 @@ def vivify_clause(engine, clause):
         prefix.append(l)
 
     engine.backtrack(0)
-    engine._probing = None
     engine.undo_probe_moves()
+    stats.propagations_vivify += stats.propagations_total - start
 
     if result is None:
         if len(prefix) < len(lits):

@@ -38,22 +38,19 @@ def of_kind(events, kind):
     return [e for e in events if e[0] == kind]
 
 
-def watch_visit_engine(size, w, probed=False):
+def watch_visit_engine(size, w):
     """Engine set up for one visit to the watch list of literal 1.
 
     Three learned clauses over 12 variables are attached in the order
-    A = (1 10 11), C, B = (1 9), so the list is [A, C, B]; ``probed`` appends
-    P = (1 12) to it.  C has ``size`` literals: 1 at watch position ``w``,
-    2 at the other watch position, then 3, 4, ... in order.  Nothing is
-    assigned.  Returns the engine and the clauses by name."""
+    A = (1 10 11), C, B = (1 9), so the list is [A, C, B].  C has ``size``
+    literals: 1 at watch position ``w``, 2 at the other watch position, then
+    3, 4, ... in order.  Nothing is assigned.  Returns the engine and the
+    clauses by name."""
     c_lits = [1, 2] if w == 0 else [2, 1]
     c_lits += range(3, size + 1)
-    clauses = [("A", [1, 10, 11]), ("C", c_lits), ("B", [1, 9])]
-    if probed:
-        clauses.append(("P", [1, 12]))
     eng = Engine(mk_formula(12, []))
     named = {}
-    for name, lits in clauses:
+    for name, lits in [("A", [1, 10, 11]), ("C", c_lits), ("B", [1, 9])]:
         eng._cid += 1
         c = Clause(list(lits), lbd=2, learned=True, cid=eng._cid)
         eng.learned_db.append(c)
@@ -62,24 +59,100 @@ def watch_visit_engine(size, w, probed=False):
     return eng, named
 
 
-def lists_by_literal(eng, lists, named):
-    """{literal: clause names in list order} for the non-empty lists among
-    ``lists``, (watch-list index, clauses) pairs."""
+# One visit of the propagation kernel to clause C, watched on 1 and 2, when 1
+# is falsified (see `watch_visit_engine`: literal 1's list is [A, C, B], with
+# A = (1 10 11) and B = (1 9)).  9 is made true first, then each row's
+# "before" literals, each assumed and propagated; the "visit" literals are
+# assumed together and propagated once.  Rows pin, after the visit, C's
+# literals, the watch lists other than A's (10 and 11) and B's 9, the trail,
+# the reasons and the conflict.  Every outcome, for C of 2 to 5 literals:
+# other watch true, replacement at position 2, at position 3 or later,
+# unit, conflict.
+WATCH_VISITS = {
+    # id: (size, before, visit, C's literals, lists 1-5, trail, reasons, conflict)
+    "2-true": (2, [2], [-1], [2, 1], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
+    "2-unit": (2, [], [-1], [2, 1], {1: "CB", 2: "C"}, [9, -1, 2], {2: "C"}, None),
+    "2-conflict": (2, [], [-1, -2], [2, 1], {1: "CB", 2: "C"}, [9, -1, -2], {}, "C"),
+    "3-true": (3, [2], [-1], [2, 1, 3], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
+    "3-pos2": (3, [], [-1], [2, 3, 1], {1: "B", 2: "C", 3: "C"}, [9, -1], {}, None),
+    "3-unit": (3, [-3], [-1], [2, 1, 3], {1: "CB", 2: "C"}, [9, -3, -1, 2], {2: "C"},
+               None),
+    "3-conflict": (3, [-3], [-1, -2], [2, 1, 3], {1: "CB", 2: "C"}, [9, -3, -1, -2],
+                   {}, "C"),
+    "4-true": (4, [2], [-1], [2, 1, 3, 4], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
+    "4-pos2": (4, [], [-1], [2, 3, 1, 4], {1: "B", 2: "C", 3: "C"}, [9, -1], {}, None),
+    "4-pos3": (4, [-3], [-1], [2, 4, 3, 1], {1: "B", 2: "C", 4: "C"}, [9, -3, -1], {},
+               None),
+    "4-unit": (4, [-3, -4], [-1], [2, 1, 3, 4], {1: "CB", 2: "C"}, [9, -3, -4, -1, 2],
+               {2: "C"}, None),
+    "4-conflict": (4, [-3, -4], [-1, -2], [2, 1, 3, 4], {1: "CB", 2: "C"},
+                   [9, -3, -4, -1, -2], {}, "C"),
+    "5-true": (5, [2], [-1], [2, 1, 3, 4, 5], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
+    "5-pos2": (5, [], [-1], [2, 3, 1, 4, 5], {1: "B", 2: "C", 3: "C"}, [9, -1], {},
+               None),
+    "5-pos4": (5, [-3, -4], [-1], [2, 5, 3, 4, 1], {1: "B", 2: "C", 5: "C"},
+               [9, -3, -4, -1], {}, None),
+    "5-unit": (5, [-3, -4, -5], [-1], [2, 1, 3, 4, 5], {1: "CB", 2: "C"},
+               [9, -3, -4, -5, -1, 2], {2: "C"}, None),
+    "5-conflict": (5, [-3, -4, -5], [-1, -2], [2, 1, 3, 4, 5], {1: "CB", 2: "C"},
+                   [9, -3, -4, -5, -1, -2], {}, "C"),
+}
+
+
+def visit_and_check(eng, named, case):
+    """Make the `WATCH_VISITS` row ``case`` on an engine from
+    `watch_visit_engine` and check what it pins.  Returns the conflict."""
+    _, before, visit, lits, lists, trail, reasons, conflict = WATCH_VISITS[case]
+    for lit in [9, *before]:
+        eng.assume(lit)
+        assert eng.propagate() is None
+    for lit in visit:
+        eng.assume(lit)
+    confl = eng.propagate()
+    name_of = {c.cid: name for name, c in named.items()}
+    assert (name_of[confl.cid] if confl else None) == conflict
+    # the falsified watch always ends at position 1, whichever it started at
+    assert named["C"].lits == lits
+    assert named["A"].lits == [10, 11, 1]  # A moves out first, at position 2
+    # B, after C, is not visited once C conflicts
+    assert named["B"].lits == ([1, 9] if conflict else [9, 1])
+    assert lists_by_literal(eng, named) == {**lists, 9: "B", 10: "A", 11: "A"}
+    assert eng.trail == trail
+    assert {v: name_of[r.cid] for v, r in enumerate(eng.reason) if r} == reasons
+    if conflict is None:
+        assert eng.qhead == len(eng.trail)
+    return confl
+
+
+def lists_by_literal(eng, named):
+    """{literal: clause names in list order} for the non-empty watch lists."""
     name_of = {c.cid: name for name, c in named.items()}
     return {i - eng.num_vars: "".join(name_of[c.cid] for c in wl)
-            for i, wl in lists if wl}
+            for i, wl in enumerate(eng.watches) if wl}
 
 
 def fingerprint(eng):
-    """Everything a vivification probe must leave as it found it: the
-    assignment, the heuristics, every watch list in order (as cids) and
-    every clause's literal list, LBD and activity."""
+    """What a vivification probe must leave as it found it: the assignment,
+    the heuristics, and every clause's literal set, LBD and activity.  The
+    order of the watch lists and of the literals inside clauses is left out:
+    the probe's propagation may change it, as any backtrack may."""
     return (list(eng.trail), list(eng.litval),
             [r if r is None else r.cid for r in eng.reason], eng.qhead,
             list(eng.activity), list(eng.saved_phase), eng.var_inc, eng.cla_inc,
-            [[c.cid for c in wl] for wl in eng.watches],
-            {c.cid: (list(c.lits), c.lbd, c.activity)
+            {c.cid: (sorted(c.lits), c.lbd, c.activity)
              for c in eng.originals + eng.learned_db})
+
+
+def check_probe(eng, clause, before):
+    """The probe contract, after vivifying ``clause`` from the `fingerprint`
+    ``before``: the fingerprint is unchanged, the probed clause is back on
+    the watch lists of its positions 0 and 1, and `check_watches` passes."""
+    assert fingerprint(eng) == before, "vivification probe left a trace"
+    n = eng.num_vars
+    for l in clause.lits[:2]:
+        assert clause in eng.watches[l + n], \
+            "vivification probe left a trace: probed clause off its watch list"
+    eng.check_watches()
 
 
 @pytest.fixture
@@ -90,8 +163,8 @@ def engine_checks(monkeypatch):
     asserting when `_learn` stores it (every literal but the first is false,
     the first unassigned), every clause `_learn` or `_admit` makes passes
     `check_meta`, and every clause `_admit` makes watches its positions 0 and
-    1, both unassigned.  Every vivification probe a `Strategy` makes leaves the
-    engine's `fingerprint` as it found it."""
+    1, both unassigned.  Every vivification probe a `Strategy` makes keeps
+    the probe contract of `check_probe`."""
     analyze, learn, admit = Engine.analyze_conflict, Engine._learn, Engine._admit
     vivify_clause = vivipar.strategy.vivify_clause
 
@@ -122,7 +195,7 @@ def engine_checks(monkeypatch):
     def checked_vivify_clause(engine, clause):
         before = fingerprint(engine)
         out = vivify_clause(engine, clause)
-        assert fingerprint(engine) == before, "vivification probe left a trace"
+        check_probe(engine, clause, before)
         return out
 
     monkeypatch.setattr(Engine, "analyze_conflict", analyze_conflict)

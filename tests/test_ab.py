@@ -1,13 +1,17 @@
-"""Self-test of scripts/ab.py, the in-process A/B timing harness, at the
-benchmark's tiny size."""
+"""Self-tests of scripts/ab.py, the in-process A/B timing harness, at the
+benchmark's tiny size, and of scripts/renamings.py on one small instance."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
 import sys
 
+from conftest import php
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AB = os.path.join(ROOT, "scripts", "ab.py")
+RENAMINGS = os.path.join(ROOT, "scripts", "renamings.py")
 MODES = ["none", "pcm", "lpcm", "ecm3", "ecm4"]
 
 
@@ -61,3 +65,26 @@ def test_differing_events_fail(tmp_path):
     assert proc.returncode == 1
     assert "WINNER or EVENTS differ for" in proc.stderr
     assert "STATS differ for" not in proc.stderr
+
+
+def test_renamings_same_checkout_on_both_sides(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    spec = importlib.util.spec_from_file_location("renamings", RENAMINGS)
+    renamings = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(renamings)
+    # one small instance, with a reduction early enough that pcm vivifies
+    monkeypatch.setattr(renamings, "instances", lambda: [("php43", php(4, 3), "UNSAT")])
+    monkeypatch.setattr(renamings, "SETTINGS",
+                        dict(renamings.SETTINGS, reduce_first=3, reduce_inc=1))
+    assert renamings.main(["--base", ROOT, "--new", ROOT]) == 0
+    rows = {line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()[3:]}
+    assert list(rows) == MODES
+    for conflicts, props, seconds, spread, *vivify in rows.values():
+        # identical search on both sides; only the time may differ
+        assert float(conflicts) == float(props) == 1.0
+        assert float(seconds) > 0 and float(spread) >= 0
+        # props/attempt and success rate, base and new
+        assert vivify[0] == vivify[1] and vivify[2] == vivify[3]
+    assert rows["none"][4:] == ["-"] * 4
+    assert float(rows["pcm"][4]) > 0 and 0 < float(rows["pcm"][6]) <= 1

@@ -10,7 +10,8 @@ from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force, entails, implied, models
 from vivipar.strategy import NONE, Strategy
 
-from conftest import lists_by_literal, mk_formula, of_kind, php, watch_visit_engine
+from conftest import (WATCH_VISITS, mk_formula, of_kind, php, visit_and_check,
+                      watch_visit_engine)
 
 
 def engine_for(clauses, num_vars, **cfg):
@@ -60,70 +61,11 @@ def test_propagation_counter_attribution():
     assert eng.stats.propagations_vivify == 0
 
 
-# One visit of the search kernel to clause C, watched on 1 and 2, when 1 is
-# falsified (see `watch_visit_engine`: literal 1's list is [A, C, B], with
-# A = (1 10 11) and B = (1 9)).  9 is made true first, then each row's
-# "before" literals, each assumed and propagated; the "visit" literals are
-# assumed together and propagated once.  Rows pin, after the visit, C's
-# literals, the watch lists other than A's (10 and 11) and B's 9, the trail,
-# the reasons and the conflict.  Every outcome, for C of 2 to 5 literals:
-# other watch true, replacement at position 2, at position 3 or later,
-# unit, conflict.
-SEARCH_VISITS = {
-    # id: (size, before, visit, C's literals, lists 1-5, trail, reasons, conflict)
-    "2-true": (2, [2], [-1], [2, 1], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
-    "2-unit": (2, [], [-1], [2, 1], {1: "CB", 2: "C"}, [9, -1, 2], {2: "C"}, None),
-    "2-conflict": (2, [], [-1, -2], [2, 1], {1: "CB", 2: "C"}, [9, -1, -2], {}, "C"),
-    "3-true": (3, [2], [-1], [2, 1, 3], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
-    "3-pos2": (3, [], [-1], [2, 3, 1], {1: "B", 2: "C", 3: "C"}, [9, -1], {}, None),
-    "3-unit": (3, [-3], [-1], [2, 1, 3], {1: "CB", 2: "C"}, [9, -3, -1, 2], {2: "C"},
-               None),
-    "3-conflict": (3, [-3], [-1, -2], [2, 1, 3], {1: "CB", 2: "C"}, [9, -3, -1, -2],
-                   {}, "C"),
-    "4-true": (4, [2], [-1], [2, 1, 3, 4], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
-    "4-pos2": (4, [], [-1], [2, 3, 1, 4], {1: "B", 2: "C", 3: "C"}, [9, -1], {}, None),
-    "4-pos3": (4, [-3], [-1], [2, 4, 3, 1], {1: "B", 2: "C", 4: "C"}, [9, -3, -1], {},
-               None),
-    "4-unit": (4, [-3, -4], [-1], [2, 1, 3, 4], {1: "CB", 2: "C"}, [9, -3, -4, -1, 2],
-               {2: "C"}, None),
-    "4-conflict": (4, [-3, -4], [-1, -2], [2, 1, 3, 4], {1: "CB", 2: "C"},
-                   [9, -3, -4, -1, -2], {}, "C"),
-    "5-true": (5, [2], [-1], [2, 1, 3, 4, 5], {1: "CB", 2: "C"}, [9, 2, -1], {}, None),
-    "5-pos2": (5, [], [-1], [2, 3, 1, 4, 5], {1: "B", 2: "C", 3: "C"}, [9, -1], {},
-               None),
-    "5-pos4": (5, [-3, -4], [-1], [2, 5, 3, 4, 1], {1: "B", 2: "C", 5: "C"},
-               [9, -3, -4, -1], {}, None),
-    "5-unit": (5, [-3, -4, -5], [-1], [2, 1, 3, 4, 5], {1: "CB", 2: "C"},
-               [9, -3, -4, -5, -1, 2], {2: "C"}, None),
-    "5-conflict": (5, [-3, -4, -5], [-1, -2], [2, 1, 3, 4, 5], {1: "CB", 2: "C"},
-                   [9, -3, -4, -5, -1, -2], {}, "C"),
-}
-
-
 @pytest.mark.parametrize("w", [0, 1], ids=["watch0", "watch1"])
-@pytest.mark.parametrize("case", SEARCH_VISITS)
+@pytest.mark.parametrize("case", WATCH_VISITS)
 def test_search_kernel_visit(case, w):
-    size, before, visit, lits, lists, trail, reasons, conflict = SEARCH_VISITS[case]
-    eng, named = watch_visit_engine(size, w)
-    for lit in [9, *before]:
-        eng.assume(lit)
-        assert eng.propagate() is None
-    for lit in visit:
-        eng.assume(lit)
-    confl = eng.propagate()
-    name_of = {c.cid: name for name, c in named.items()}
-    assert (name_of[confl.cid] if confl else None) == conflict
-    # the falsified watch always ends at position 1, whichever it started at
-    assert named["C"].lits == lits
-    assert named["A"].lits == [10, 11, 1]  # A moves out first, at position 2
-    # B, after C, is not visited once C conflicts
-    assert named["B"].lits == ([1, 9] if conflict else [9, 1])
-    assert lists_by_literal(eng, enumerate(eng.watches), named) == {
-        **lists, 9: "B", 10: "A", 11: "A"}
-    assert eng.trail == trail
-    assert {v: name_of[r.cid] for v, r in enumerate(eng.reason) if r} == reasons
-    if conflict is None:
-        assert eng.qhead == len(eng.trail)
+    eng, named = watch_visit_engine(WATCH_VISITS[case][0], w)
+    if visit_and_check(eng, named, case) is None:
         eng.check_watches()
 
 

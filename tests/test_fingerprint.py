@@ -59,21 +59,21 @@ GOLDEN = {
         (1154, 0, 0, 0, 0, 98, 73, 50, 0, 0, 1, 1, 98, 0),
         (911, 0, 0, 0, 0, 81, 60, 43, 0, 0, 0, 1, 81, 0),
     )),
-    ('php65', 'pcm'): ('UNSAT', 0, (
-        (1799, 540, 26, 12, 25, 103, 72, 55, 0, 0, 2, 1, 103, 0),
-        (1599, 469, 25, 12, 22, 103, 63, 65, 0, 0, 1, 1, 103, 0),
+    ('php65', 'pcm'): ('UNSAT', 1, (
+        (1690, 543, 26, 10, 22, 97, 69, 48, 0, 0, 1, 1, 97, 0),
+        (1588, 472, 25, 10, 18, 94, 74, 57, 0, 0, 0, 1, 94, 0),
     )),
     ('php65', 'lpcm'): ('UNSAT', 0, (
-        (1764, 540, 26, 12, 25, 101, 72, 62, 12, 0, 2, 1, 101, 0),
-        (1556, 469, 25, 12, 22, 96, 68, 47, 11, 12, 0, 1, 96, 0),
+        (1725, 543, 26, 10, 22, 100, 72, 58, 10, 0, 1, 1, 100, 0),
+        (1581, 472, 25, 10, 18, 97, 68, 57, 9, 10, 0, 1, 97, 0),
     )),
-    ('php65', 'ecm3'): ('UNSAT', 1, (
-        (1616, 518, 28, 11, 20, 99, 56, 24, 0, 0, 1, 1, 99, 0),
-        (1023, 0, 0, 0, 0, 91, 33, 53, 0, 0, 0, 1, 91, 0),
+    ('php65', 'ecm3'): ('UNSAT', 0, (
+        (1656, 539, 30, 13, 30, 100, 59, 24, 0, 0, 2, 1, 100, 0),
+        (950, 0, 0, 0, 0, 83, 30, 46, 0, 0, 0, 1, 83, 0),
     )),
-    ('php65', 'ecm4'): ('UNSAT', 1, (
-        (1789, 674, 35, 18, 34, 99, 38, 2, 0, 0, 1, 1, 99, 0),
-        (1063, 0, 0, 0, 0, 93, 5, 37, 0, 0, 0, 1, 93, 0),
+    ('php65', 'ecm4'): ('UNSAT', 0, (
+        (1820, 709, 37, 21, 46, 100, 41, 3, 0, 0, 2, 1, 100, 0),
+        (865, 0, 0, 0, 0, 80, 3, 36, 0, 0, 0, 1, 80, 0),
     )),
     # uf50-1
     ('uf50-1', 'none'): ('UNSAT', 1, (
@@ -82,14 +82,14 @@ GOLDEN = {
     )),
     ('uf50-1', 'pcm'): ('UNSAT', 1, (
         (472, 0, 0, 0, 0, 34, 32, 0, 0, 0, 0, 0, 34, 0),
-        (453, 11, 1, 1, 3, 31, 28, 32, 0, 0, 0, 0, 31, 0),
+        (455, 11, 1, 1, 3, 31, 28, 32, 0, 0, 0, 0, 31, 0),
     )),
     ('uf50-1', 'lpcm'): ('UNSAT', 1, (
         (472, 0, 0, 0, 0, 34, 32, 0, 0, 0, 0, 0, 34, 0),
-        (453, 11, 1, 1, 3, 31, 28, 32, 1, 0, 0, 0, 31, 0),
+        (455, 11, 1, 1, 3, 31, 28, 32, 1, 0, 0, 0, 31, 0),
     )),
     ('uf50-1', 'ecm3'): ('UNSAT', 0, (
-        (795, 150, 11, 10, 21, 50, 26, 11, 0, 0, 1, 1, 50, 0),
+        (842, 203, 15, 12, 24, 50, 30, 11, 0, 0, 1, 1, 50, 0),
         (391, 0, 0, 0, 0, 32, 11, 5, 0, 0, 0, 1, 32, 0),
     )),
     ('uf50-1', 'ecm4'): ('UNSAT', 0, (
@@ -144,20 +144,20 @@ GOLDEN = {
         (9709, 0, 0, 0, 0, 776, 145, 116, 0, 0, 5, 2, 776, 0),
     )),
     ('php76', 'pcm'): ('UNSAT', 0, (
-        (14389, 4982, 203, 127, 362, 708, 102, 92, 0, 0, 13, 2, 708, 0),
-        (13718, 5173, 198, 94, 238, 645, 92, 71, 0, 0, 5, 2, 645, 0),
+        (14290, 3939, 143, 50, 114, 823, 129, 116, 0, 0, 13, 2, 823, 0),
+        (15092, 5231, 201, 74, 189, 777, 119, 78, 0, 0, 5, 2, 777, 0),
     )),
     ('php76', 'lpcm'): ('UNSAT', 0, (
-        (16464, 5277, 200, 75, 167, 882, 134, 129, 21, 15, 14, 2, 882, 0),
-        (16243, 5367, 199, 89, 255, 843, 144, 112, 26, 12, 6, 2, 843, 0),
+        (15632, 5713, 209, 101, 270, 814, 137, 119, 30, 2, 11, 2, 814, 0),
+        (15174, 5191, 191, 91, 209, 774, 129, 101, 26, 29, 5, 2, 774, 0),
     )),
     ('php76', 'ecm3'): ('UNSAT', 0, (
-        (10663, 501, 18, 3, 6, 808, 94, 92, 0, 0, 13, 2, 808, 0),
-        (10775, 695, 26, 10, 24, 776, 102, 85, 0, 0, 5, 2, 776, 0),
+        (11024, 851, 31, 5, 8, 807, 115, 91, 0, 0, 14, 2, 807, 0),
+        (9931, 714, 27, 5, 17, 775, 95, 79, 0, 0, 5, 2, 775, 0),
     )),
-    ('php76', 'ecm4'): ('UNSAT', 1, (
-        (12037, 1652, 62, 19, 41, 845, 64, 109, 0, 0, 15, 2, 845, 0),
-        (14701, 4402, 167, 67, 156, 816, 170, 64, 0, 0, 6, 2, 816, 0),
+    ('php76', 'ecm4'): ('UNSAT', 0, (
+        (13278, 1558, 61, 22, 50, 952, 65, 92, 0, 0, 16, 2, 952, 0),
+        (14177, 2580, 99, 29, 50, 903, 99, 61, 0, 0, 6, 2, 903, 0),
     )),
 }
 
@@ -209,12 +209,12 @@ def test_watch_invariant_between_turns(case):
 SHARING_EVENTS = ("learn", "withhold", "export", "vivify", "replace",
                   "reduce_remove", "publish", "adopt")
 GOLDEN_EVENTS = {
-    "lpcm": ({"adopt": 12, "export": 140, "learn": 197, "publish": 23,
-              "reduce_remove": 69, "replace": 24, "vivify": 51},
-             "300787e1804bbd0341e59b2e722abe1ba6fc37c94b067d125950b4db8861d78e"),
-    "ecm3": ({"export": 89, "learn": 190, "reduce_remove": 23, "replace": 11,
-              "vivify": 28, "withhold": 84},
-             "cca9cf5de297fe8d6d49648a7bc5763d4a8f396dc3fb4e86aff740172474ec49"),
+    "lpcm": ({"adopt": 10, "export": 140, "learn": 197, "publish": 19,
+              "reduce_remove": 69, "replace": 20, "vivify": 51},
+             "11aec76b490c35c22e781a9987d7354f72810912e7ae44538aa6b8e80e2a7ab1"),
+    "ecm3": ({"export": 89, "learn": 183, "reduce_remove": 23, "replace": 13,
+              "vivify": 30, "withhold": 78},
+             "abe756f3f0678bdeaec2e4dd41805c7445d17842cb61781853e3b1dd8c578a62"),
 }
 
 

@@ -12,6 +12,8 @@ from vivipar.harness import (CSV_COLUMNS, cli_main, emit_csv, gen_random_3sat,
 from vivipar.oracle import brute_force
 from vivipar.stats import Stats, merge_stats
 
+from conftest import php
+
 
 # ---------------------------------------------------------------- generator
 
@@ -152,7 +154,19 @@ def test_cli_unknown_exit_0(tmp_path, capsys):
     p.write_text(to_dimacs(f))
     code = cli_main([str(p), "--deterministic", "--conflict-limit", "0"])
     assert code == 0
-    assert "s UNKNOWN" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "c stopped: every worker spent --conflict-limit 0", "s UNKNOWN"]
+
+
+def test_cli_unknown_on_time_limit_says_so(tmp_path, capsys):
+    # the deadline has passed before the first turn, whatever the conflict
+    # budget
+    p = tmp_path / "php87.cnf"
+    p.write_text(to_dimacs(php(8, 7)))
+    code = cli_main([str(p), "--time-limit", "1e-9", "--conflict-limit", "1000"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "c stopped: time limit of 1e-09 s reached", "s UNKNOWN"]
 
 
 def test_cli_worker_fault_exit_3(unsat_file, capsys, monkeypatch):

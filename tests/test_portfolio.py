@@ -27,8 +27,8 @@ def test_single_worker_deterministic_unsat():
 
 
 @pytest.mark.parametrize("mode, conflicts, propagations", [
-    (NONE, 146, 1747), (PCM, 146, 2095), (LPCM, 146, 2095),
-    (ecm(3), 134, 2259), (ecm(4), 134, 2667)],
+    (NONE, 146, 1747), (PCM, 145, 2083), (LPCM, 145, 2083),
+    (ecm(3), 139, 2388), (ecm(4), 144, 2604)],
     ids=["none", "pcm", "lpcm", "ecm3", "ecm4"])
 def test_single_worker_exports_and_publishes_nothing(mode, conflicts, propagations):
     # no other worker would receive an export, so none is counted or

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from vivipar import strategy, vivify
@@ -13,8 +11,8 @@ from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             VivifyOutcome, apply_outcome, satisfied_at_root,
                             select_candidates, vivify_clause)
 
-from conftest import (fingerprint, lists_by_literal, mk_formula, of_kind,
-                      watch_visit_engine)
+from conftest import (WATCH_VISITS, check_probe, fingerprint, mk_formula, of_kind,
+                      visit_and_check, watch_visit_engine)
 
 
 def engine_with_clause(f_clauses, num_vars, clause_lits, **cfg):
@@ -67,11 +65,10 @@ def test_vivify_conflict_replacement():
     assert implied(3, [(1, 2), (1, -2), (1, 3)], out.new_lits)
 
 
-# ------------------------------------------------------------ rollback
+# ------------------------------------------------------------ probe contract
 #
-# Watch-list order decides the order of later propagation, so it is part of
-# the deterministic behaviour.  A probe leaves every list, order included,
-# and every clause's literal order exactly as it found them.
+# A probe runs the search kernel, so the watch moves it makes stay; the
+# contract (`check_probe`) holds however the probe ends.
 
 
 def engine_with_lists(num_vars, clauses):
@@ -88,119 +85,60 @@ def engine_with_lists(num_vars, clauses):
     return eng, added
 
 
-def probe_and_check(eng, clause, kind):
-    """Vivify ``clause``, check the outcome kind and that the probe left the
-    engine's `fingerprint` as it found it.  Returns the probe's watch moves,
-    read just before its rollback, as {new watch: [cid, ...]}."""
-    n = eng.num_vars
-    moves = {}
-    undo = eng.undo_probe_moves
-
-    def undo_probe_moves():
-        moves.update((i - n, [c.cid for c in wl]) for i, wl in eng._probe_parked.items())
-        undo()
-
-    eng.undo_probe_moves = undo_probe_moves
-    before = fingerprint(eng)
-    out = vivify_clause(eng, clause)
-    assert out.kind == kind
-    assert fingerprint(eng) == before
-    eng.check_watches()
-    return moves
-
-
 def test_rollback_clause_moved_twice_into_falsified_list():
     # probe (-1, -2, -3): #1 leaves list 1 for list 6; -2 forces -6 through
-    # #2, and #1 moves on from list 6 to list 7 (with #7 and #8 leaving too)
+    # #2, and #1 moves on from list 6 to list 7, where it stays
     eng, cl = engine_with_lists(20, [
         [1, 5, 6, 7], [2, -6], [1, 8], [1, 9, 10], [9, 1, 11],
         [6, 12], [6, 13, 14], [13, 6, 15], [1, 2, 3]])
-    moves = probe_and_check(eng, cl[-1], UNCHANGED)
-    assert moves == {6: [1], 10: [4], 11: [5], 14: [7], 15: [8], 7: [1]}
+    before = fingerprint(eng)
+    assert vivify_clause(eng, cl[-1]).kind == UNCHANGED
+    check_probe(eng, cl[-1], before)
+    assert cl[0].lits[:2] == [5, 7]
 
 
 def test_rollback_conflict_mid_watch_list():
     # probe (-1): #1 forces -22, #2 moves to list 21 (a list the probe never
-    # falsifies), #3 conflicts; #4 and #5 are never visited
+    # falsifies), #3 conflicts; #4 and #5 are never visited and keep their
+    # places, and the probed #7 goes back on list 1 at its end
     eng, cl = engine_with_lists(30, [
         [1, -22], [1, 20, 21], [1, 22], [1, 23, 24], [25, 1], [21, 26],
         [1, 3, 4]])
-    assert probe_and_check(eng, cl[-1], CONFLICT_REPLACED) == {21: [2]}
-
-
-# One visit of the probe kernel to clause C, watched on 1 and 2, when 1 is
-# falsified (see `watch_visit_engine`: literal 1's list is [A, C, B, P], with
-# A = (1 10 11), B = (1 9) and P = (1 12) the probed clause).  The setup
-# matches `test_search_kernel_visit` in test_cdcl.py, with every assignment
-# made inside the probe.  The kernel writes the replacement watch where the
-# falsified one stood, so C's literals depend on that position; a reason or
-# conflict has the falsified watch at position 1.  Rows pin, after the
-# visit, C's literals for the falsified watch at position 0 and at position
-# 1, the parked table, the trail, the reasons and the conflict; the watch
-# lists stay as they were, and the rollback restores the engine.
-PROBE_VISITS = {
-    # id: (size, before, visit, C's literals (watch 0, watch 1), parked, trail,
-    #      reasons, conflict)
-    "2-true": (2, [2], [-1], ([1, 2], [2, 1]), {}, [9, 2, -1], {}, None),
-    "2-unit": (2, [], [-1], ([2, 1], [2, 1]), {}, [9, -1, 2], {2: "C"}, None),
-    "2-conflict": (2, [], [-1, -2], ([2, 1], [2, 1]), {}, [9, -1, -2], {}, "C"),
-    "3-true": (3, [2], [-1], ([1, 2, 3], [2, 1, 3]), {}, [9, 2, -1], {}, None),
-    "3-pos2": (3, [], [-1], ([3, 2, 1], [2, 3, 1]), {3: "C"}, [9, -1], {}, None),
-    "3-unit": (3, [-3], [-1], ([2, 1, 3], [2, 1, 3]), {}, [9, -3, -1, 2], {2: "C"},
-               None),
-    "3-conflict": (3, [-3], [-1, -2], ([2, 1, 3], [2, 1, 3]), {}, [9, -3, -1, -2], {},
-                   "C"),
-    "4-true": (4, [2], [-1], ([1, 2, 3, 4], [2, 1, 3, 4]), {}, [9, 2, -1], {}, None),
-    "4-pos2": (4, [], [-1], ([3, 2, 1, 4], [2, 3, 1, 4]), {3: "C"}, [9, -1], {}, None),
-    "4-pos3": (4, [-3], [-1], ([4, 2, 3, 1], [2, 4, 3, 1]), {4: "C"}, [9, -3, -1], {},
-               None),
-    "4-unit": (4, [-3, -4], [-1], ([2, 1, 3, 4], [2, 1, 3, 4]), {}, [9, -3, -4, -1, 2],
-               {2: "C"}, None),
-    "4-conflict": (4, [-3, -4], [-1, -2], ([2, 1, 3, 4], [2, 1, 3, 4]), {},
-                   [9, -3, -4, -1, -2], {}, "C"),
-    "5-true": (5, [2], [-1], ([1, 2, 3, 4, 5], [2, 1, 3, 4, 5]), {}, [9, 2, -1], {},
-               None),
-    "5-pos2": (5, [], [-1], ([3, 2, 1, 4, 5], [2, 3, 1, 4, 5]), {3: "C"}, [9, -1], {},
-               None),
-    "5-pos4": (5, [-3, -4], [-1], ([5, 2, 3, 4, 1], [2, 5, 3, 4, 1]), {5: "C"},
-               [9, -3, -4, -1], {}, None),
-    "5-unit": (5, [-3, -4, -5], [-1], ([2, 1, 3, 4, 5], [2, 1, 3, 4, 5]), {},
-               [9, -3, -4, -5, -1, 2], {2: "C"}, None),
-    "5-conflict": (5, [-3, -4, -5], [-1, -2], ([2, 1, 3, 4, 5], [2, 1, 3, 4, 5]), {},
-                   [9, -3, -4, -5, -1, -2], {}, "C"),
-}
+    before = fingerprint(eng)
+    assert vivify_clause(eng, cl[-1]).kind == CONFLICT_REPLACED
+    check_probe(eng, cl[-1], before)
+    n = eng.num_vars
+    assert [c.cid for c in eng.watches[1 + n]] == [1, 3, 4, 5, 7]
+    assert [c.cid for c in eng.watches[21 + n]] == [6, 2]
 
 
 @pytest.mark.parametrize("w", [0, 1], ids=["watch0", "watch1"])
-@pytest.mark.parametrize("case", PROBE_VISITS)
+@pytest.mark.parametrize("case", WATCH_VISITS)
 def test_probe_kernel_visit(case, w):
-    size, before, visit, lits, parked, trail, reasons, conflict = PROBE_VISITS[case]
-    eng, named = watch_visit_engine(size, w, probed=True)
-    at_start = fingerprint(eng)
-    watches = [list(wl) for wl in eng.watches]
-    eng._probing = named["P"]
-    for lit in [9, *before]:
-        eng.assume(lit)
-        assert eng.propagate() is None
-    for lit in visit:
-        eng.assume(lit)
-    confl = eng.propagate()
-    name_of = {c.cid: name for name, c in named.items()}
-    assert (name_of[confl.cid] if confl else None) == conflict
-    assert named["C"].lits == lits[w]
-    assert named["A"].lits == [11, 10, 1]  # A moves out first, at position 2
-    assert named["B"].lits == [1, 9]  # other watch true: no write
-    assert named["P"].lits == [1, 12]  # skipped
-    assert lists_by_literal(eng, eng._probe_parked.items(), named) == {**parked, 11: "A"}
-    assert eng.watches == watches
-    assert eng.trail == trail
-    assert {v: name_of[r.cid] for v, r in enumerate(eng.reason) if r} == reasons
-
+    # each visit of `test_search_kernel_visit`, made inside a probe of
+    # P = (1 12): detached, P takes no part, so the visit is the search's
+    eng, named = watch_visit_engine(WATCH_VISITS[case][0], w)
+    probed = Clause([1, 12], lbd=2, learned=True, cid=4)
+    eng.learned_db.append(probed)
+    eng._attach(probed)
+    before = fingerprint(eng)
+    eng._detach(probed)
+    eng._probing = probed
+    visit_and_check(eng, named, case)
     eng.backtrack(0)
-    eng._probing = None
     eng.undo_probe_moves()
-    assert not eng._probe_parked and not eng._probe_swaps
-    assert fingerprint(eng) == at_start
+    check_probe(eng, probed, before)
+    assert probed.lits == [1, 12]
+
+
+def test_probed_clause_takes_no_part_in_its_own_probe():
+    # F={(a v b v -c)}, C=(a v b v c): assuming -a, -b forces -c through F,
+    # so c is dropped.  C stays off its watch lists during the probe: on
+    # them, it would force c itself and conflict with F.
+    eng, c = engine_with_clause([[1, 2, -3]], 3, [1, 2, 3])
+    out = vivify_clause(eng, c)
+    assert (out.kind, out.new_lits) == (SHORTENED, (1, 2))
+    eng.check_watches()
 
 
 # ------------------------------------------------------------ selection
@@ -306,8 +244,7 @@ def test_level_discipline_asserted():
 
 def test_engine_checks_catch_a_probe_that_leaves_a_trace(engine_checks,
                                                         monkeypatch):
-    # assuming -4 moves the watch of (4 7 8) from 4 to 8; without the
-    # rollback that literal swap stays behind
+    # a probe that never puts the probed clause back on its watch lists
     eng, c = engine_with_clause([[4, 7, 8]], 8, [4, 5, 6])
     monkeypatch.setattr(Engine, "undo_probe_moves", lambda self: None)
     with pytest.raises(AssertionError, match="left a trace"):
@@ -344,10 +281,8 @@ def test_state_restoration_on_random_instances():
         before = fingerprint(eng)
         props_before = eng.stats.propagations_total
         vivify_clause(eng, cands[0])
-        after = fingerprint(eng)
-        assert before == after  # counters aside, the probe left no trace
+        check_probe(eng, cands[0], before)
         assert eng.stats.propagations_total >= props_before
-        eng.check_watches()
         probed += 1
     assert probed >= 10
 
