@@ -23,9 +23,13 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
-# A dynamic restart fires when the recent LBD mean exceeds RESTART_K times
-# the global mean; clause activity decays by CLAUSE_DECAY per conflict.
+# A dynamic restart fires when the mean LBD of the last RESTART_WINDOW
+# conflicts exceeds RESTART_K times the global mean; a Luby restart fires
+# after LUBY_UNIT * luby(i) conflicts.  Clause activity decays by
+# CLAUSE_DECAY per conflict.
 RESTART_K = 0.8
+RESTART_WINDOW = 50
+LUBY_UNIT = 100
 CLAUSE_DECAY = 0.999
 
 
@@ -42,8 +46,6 @@ def luby(i):
 @dataclass
 class EngineConfig:
     restart_kind: str = "dynamic"  # "dynamic" or "luby"
-    restart_window: int = 50
-    luby_unit: int = 100
     var_decay: float = 0.95
     phase_init: bool = False
     reduce_first: int = 2000
@@ -52,16 +54,16 @@ class EngineConfig:
 
 def should_restart(cfg, recent_lbds, global_lbd_mean, conflicts_since_restart,
                    restart_index):
-    """Restart decision under the restart fields of an EngineConfig.
+    """Restart decision under ``cfg.restart_kind``.
 
-    Dynamic mode fires when the sliding window of ``restart_window`` LBDs is
+    Dynamic mode fires when the sliding window of `RESTART_WINDOW` LBDs is
     full and its mean exceeds `RESTART_K` times the global mean.  Luby mode
     fires when the conflicts since the last restart reach
-    ``luby_unit * luby(restart_index)``.
+    ``LUBY_UNIT * luby(restart_index)``.
     """
     if cfg.restart_kind == "luby":
-        return conflicts_since_restart >= cfg.luby_unit * luby(restart_index)
-    if len(recent_lbds) < cfg.restart_window:
+        return conflicts_since_restart >= LUBY_UNIT * luby(restart_index)
+    if len(recent_lbds) < RESTART_WINDOW:
         return False
     window_mean = sum(recent_lbds) / len(recent_lbds)
     return window_mean > RESTART_K * global_lbd_mean
@@ -107,7 +109,7 @@ class Engine:
         self.cla_inc = 1.0
         self.saved_phase = [self.cfg.phase_init] * (n + 1)
 
-        self.lbd_window = deque(maxlen=self.cfg.restart_window)
+        self.lbd_window = deque(maxlen=RESTART_WINDOW)
         self._lbd_sum = 0
         self._since_restart = 0
 
@@ -612,14 +614,10 @@ class Engine:
                 if self.hooks is not None:
                     self.hooks.on_learn(c)
                 continue
-            if self._terminal is not None:
-                return self._terminal
             if self.decision_level == 0 and self.hooks is not None:
                 self.hooks.on_level_zero()
                 if self._terminal is not None:
                     return self._terminal
-                if self.qhead < len(self.trail):
-                    continue
             if self._restart_due():
                 stats.restarts += 1
                 self._since_restart = 0

@@ -13,7 +13,8 @@ import threading
 from collections import deque
 from typing import NamedTuple
 
-DEFAULT_MAX_PENDING = 1 << 16
+# A worker's inbound buffer holds at most this many records.
+MAX_PENDING = 1 << 16
 # Longer clauses are never exported, whatever their LBD.
 EXPORT_MAX_LEN = 30
 
@@ -33,7 +34,8 @@ class SharedClause(NamedTuple):
 class SharedPool:
     """Per-worker inbound buffers and one dict of published improvements.
 
-    Buffers are bounded, drop-oldest on overflow; producers append under a
+    Buffers hold at most `MAX_PENDING` records each and drop the oldest on
+    overflow, counted per worker in ``overflows``; producers append under a
     per-buffer lock, and each worker drains only its own buffer and never
     sees its own exports.  Improvements are looked up, never drained: one
     must stay readable until every importer of its clause has looked its key
@@ -41,9 +43,8 @@ class SharedPool:
     to share between threads; `portfolio.run` itself calls it from one.
     """
 
-    def __init__(self, num_workers, max_pending=DEFAULT_MAX_PENDING):
+    def __init__(self, num_workers):
         self.num_workers = num_workers
-        self.max_pending = max_pending
         self._buffers = [deque() for _ in range(num_workers)]
         self._locks = [threading.Lock() for _ in range(num_workers)]
         self.overflows = [0] * num_workers
@@ -57,7 +58,7 @@ class SharedPool:
                 continue
             with self._locks[w]:
                 buf = self._buffers[w]
-                if len(buf) >= self.max_pending:
+                if len(buf) >= MAX_PENDING:
                     buf.popleft()
                     self.overflows[w] += 1
                 buf.append(record)

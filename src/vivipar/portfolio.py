@@ -51,8 +51,6 @@ class PortfolioConfig:
     quantum: int = 512  # conflicts per worker turn
     reduce_first: int = 2000
     reduce_inc: int = 300
-    restart_window: int = 50
-    luby_unit: int = 100
     recorder: object = None  # event sink, see Engine
 
     def validate(self):
@@ -70,16 +68,11 @@ class PortfolioConfig:
             raise ConfigError("quantum must be >= 1")
         if self.export_max_lbd < 1:
             raise ConfigError("export_max_lbd must be >= 1")
-        # zero schedules hang (reductions with no conflict between them)
-        # or crash (the mean of an empty restart window)
+        # a zero schedule hangs (reductions with no conflict between them)
         if self.reduce_first < 1:
             raise ConfigError("reduce_first must be >= 1")
         if self.reduce_inc < 0:
             raise ConfigError("reduce_inc must be >= 0")
-        if self.restart_window < 1:
-            raise ConfigError("restart_window must be >= 1")
-        if self.luby_unit < 1:
-            raise ConfigError("luby_unit must be >= 1")
 
 
 @dataclass
@@ -98,17 +91,15 @@ def diversify(worker_index, config):
     """Deterministic per-worker engine configuration.
 
     Worker 0 is the reference: `EngineConfig`'s defaults (dynamic restarts,
-    decay 0.95, initial phase false) under the portfolio's schedule.  Odd
-    workers run Luby restarts and inverted initial phase; workers past 0
-    jitter the VSIDS decay inside [0.85, 0.99) from the seed.  The
-    minimization mode is the same for every worker (homogeneous portfolio).
+    decay 0.95, initial phase false) under the portfolio's reduction
+    schedule.  Odd workers run Luby restarts and inverted initial phase;
+    workers past 0 jitter the VSIDS decay inside [0.85, 0.99) from the seed.
+    The restart window and Luby unit are the same for every worker
+    (`cdcl.RESTART_WINDOW`, `cdcl.LUBY_UNIT`), and so is the minimization
+    mode (homogeneous portfolio).
     """
-    base = EngineConfig(
-        restart_window=config.restart_window,
-        luby_unit=config.luby_unit,
-        reduce_first=config.reduce_first,
-        reduce_inc=config.reduce_inc,
-    )
+    base = EngineConfig(reduce_first=config.reduce_first,
+                        reduce_inc=config.reduce_inc)
     if worker_index == 0:
         return base
     rng = random.Random((config.seed * 2654435761 + worker_index) & 0xFFFFFFFF)

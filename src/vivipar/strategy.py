@@ -147,12 +147,10 @@ class Strategy:
     def _vivify(self, c):
         """Vivify one clause at level 0 and fold the outcome back.
 
-        Returns the outcome, or None when the clause was already removed or
-        is satisfied at the root (and is removed now).
+        Returns the outcome, or None when the clause is satisfied at the
+        root (and is removed now).
         """
         eng = self.engine
-        if c.removed:
-            return None
         if satisfied_at_root(eng, c):
             eng.remove_clause(c)
             return None

@@ -39,8 +39,6 @@ class VivifyOutcome:
 
 # Clauses with a higher LBD are not worth a vivification attempt.
 VIVIFY_MAX_LBD = 5
-# A probe that spends more propagations than this gives up as Unchanged.
-VIVIFY_BUDGET = 1_000_000
 
 
 def select_candidates(db):
@@ -70,11 +68,11 @@ def vivify_clause(engine, clause):
 
     Preconditions: no pending propagation, clause attached and not
     satisfied at level 0.  Marks the clause as attempted regardless of the
-    result and aborts as Unchanged once the probe has spent more than
-    `VIVIFY_BUDGET` propagations.  The clause is off its watch lists during
-    the probe, and back on them after.  The database is not modified here;
-    pair with `apply_outcome`.  Emits ``("vivify", w, cid, kind)`` to the
-    engine's recorder.
+    result.  The clause is off its watch lists during the probe, and back on
+    them after.  A probe does not backtrack before it ends, so it spends at
+    most one propagation per variable unassigned at level 0.  The database
+    is not modified here; pair with `apply_outcome`.  Emits
+    ``("vivify", w, cid, kind)`` to the engine's recorder.
     """
     assert engine.decision_level == 0, "vivification runs at decision level 0 only"
     assert engine.qhead == len(engine.trail), "pending propagation before vivify"
@@ -104,9 +102,6 @@ def vivify_clause(engine, clause):
             continue
         engine.assume(-l)
         confl = engine.propagate()
-        if stats.propagations_total - start > VIVIFY_BUDGET:
-            result = (UNCHANGED, None, None)
-            break
         if confl is not None:
             learnt, _blevel, lbd = engine.analyze_conflict(confl, bump=False)
             if len(learnt) < len(lits):

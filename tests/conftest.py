@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import vivipar.cdcl
 import vivipar.strategy
 from vivipar.cdcl import Engine
 from vivipar.formula import Clause, Formula, check_meta, normalize_clause
@@ -30,6 +31,17 @@ def php(pigeons, holes):
         for i1, i2 in itertools.combinations(range(pigeons), 2):
             clauses.append([-v(i1, j), -v(i2, j)])
     return mk_formula(pigeons * holes, clauses)
+
+
+def restart_schedule(patch, window, unit=None):
+    """Shorten the restart schedule for small instances: set
+    `cdcl.RESTART_WINDOW` to ``window`` and, when given, `cdcl.LUBY_UNIT`
+    to ``unit``.  A test passes ``monkeypatch.setattr`` as ``patch``, which
+    restores both after the test; a process pool passes ``setattr`` to its
+    initializer, which sets them for each worker's lifetime."""
+    patch(vivipar.cdcl, "RESTART_WINDOW", window)
+    if unit is not None:
+        patch(vivipar.cdcl, "LUBY_UNIT", unit)
 
 
 def of_kind(events, kind):
@@ -164,9 +176,12 @@ def engine_checks(monkeypatch):
     the first unassigned), every clause `_learn` or `_admit` makes passes
     `check_meta`, and every clause `_admit` makes watches its positions 0 and
     1, both unassigned.  Every vivification probe a `Strategy` makes keeps
-    the probe contract of `check_probe`."""
+    the probe contract of `check_probe` and spends at most one propagation
+    per variable unassigned at level 0.  `Strategy.on_level_zero` leaves a
+    non-terminal engine with no pending propagation."""
     analyze, learn, admit = Engine.analyze_conflict, Engine._learn, Engine._admit
     vivify_clause = vivipar.strategy.vivify_clause
+    on_level_zero = vivipar.strategy.Strategy.on_level_zero
 
     def analyze_conflict(self, confl, bump=True):
         out = analyze(self, confl, bump)
@@ -194,11 +209,23 @@ def engine_checks(monkeypatch):
 
     def checked_vivify_clause(engine, clause):
         before = fingerprint(engine)
+        props = engine.stats.propagations_total
         out = vivify_clause(engine, clause)
         check_probe(engine, clause, before)
+        assert (engine.stats.propagations_total - props
+                <= engine.num_vars - len(engine.trail)), \
+            "probe spent more propagations than unassigned variables"
         return out
+
+    def checked_on_level_zero(self):
+        on_level_zero(self)
+        eng = self.engine
+        assert eng._terminal is not None or eng.qhead == len(eng.trail), \
+            "level-0 hook left a propagation pending"
 
     monkeypatch.setattr(Engine, "analyze_conflict", analyze_conflict)
     monkeypatch.setattr(Engine, "_learn", _learn)
     monkeypatch.setattr(Engine, "_admit", _admit)
     monkeypatch.setattr(vivipar.strategy, "vivify_clause", checked_vivify_clause)
+    monkeypatch.setattr(vivipar.strategy.Strategy, "on_level_zero",
+                        checked_on_level_zero)

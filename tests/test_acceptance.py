@@ -24,7 +24,7 @@ from vivipar.oracle import brute_force, implied
 from vivipar.portfolio import PortfolioConfig, run
 from vivipar.strategy import LPCM, Strategy, mode_from_label
 
-from conftest import mk_formula, of_kind
+from conftest import mk_formula, of_kind, restart_schedule
 
 MODE_LABELS = ["none", "pcm", "lpcm", "ecm3", "ecm4"]
 VIVIFY_MODE_LABELS = ["pcm", "lpcm", "ecm3", "ecm4"]
@@ -41,9 +41,11 @@ N_MEDIUM = 60
 N_SMOKE = 10
 
 # schedule knobs that make reductions/restarts (and therefore vivification)
-# actually fire on n <= 25 instances; protocol semantics are unchanged
-TINY_KNOBS = dict(reduce_first=30, reduce_inc=15, restart_window=8,
-                  luby_unit=10, quantum=64)
+# actually fire on n <= 25 instances; protocol semantics are unchanged.
+# TINY_RESTARTS is the restart window and Luby unit, which the corpus pools
+# set in each worker process.
+TINY_KNOBS = dict(reduce_first=30, reduce_inc=15, quantum=64)
+TINY_RESTARTS = (8, 10)
 # PCM/LPCM vivify only before a reduction, and at reduce_first=30 a run on
 # this corpus almost never reaches one
 TINY_PCM_KNOBS = dict(TINY_KNOBS, reduce_first=10, reduce_inc=5)
@@ -66,8 +68,13 @@ def smoke_formula(seed):
     return gen_random_3sat(100, 426, 20_000 + seed)
 
 
-def _pool():
-    return mp.Pool(min(os.cpu_count() or 1, 4))
+def _pool(initializer=None, initargs=()):
+    return mp.Pool(min(os.cpu_count() or 1, 4), initializer, initargs)
+
+
+def _tiny_pool():
+    """A pool whose workers run the `TINY_RESTARTS` restart schedule."""
+    return _pool(restart_schedule, (setattr, *TINY_RESTARTS))
 
 
 # -------------------------------------------------------------- criterion 1+3
@@ -107,7 +114,7 @@ def _solve_against_oracle(seed):
 
 @pytest.fixture(scope="module")
 def oracle_equivalence_results():
-    with _pool() as pool:
+    with _tiny_pool() as pool:
         results = pool.map(_solve_against_oracle, range(N_CORPUS), chunksize=25)
     return results
 
@@ -194,7 +201,7 @@ def _instrumented_run(args):
 def instrumented_results():
     jobs = [(seed, label) for seed in range(N_CORPUS)
             for label in VIVIFY_MODE_LABELS]
-    with _pool() as pool:
+    with _tiny_pool() as pool:
         results = pool.map(_instrumented_run, jobs, chunksize=50)
     return results
 

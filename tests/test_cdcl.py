@@ -250,7 +250,7 @@ def test_luby_sequence_prefix():
 
 def test_luby_restart_thresholds():
     # unit 100: thresholds 100,100,200,100,100,200,400,...
-    cfg = EngineConfig(restart_kind="luby", luby_unit=100)
+    cfg = EngineConfig(restart_kind="luby")
     thresholds = [100, 100, 200, 100, 100, 200, 400, 100, 100]
     for idx, th in enumerate(thresholds, start=1):
         assert should_restart(cfg, [], 0.0, th, idx)
@@ -258,14 +258,14 @@ def test_luby_restart_thresholds():
 
 
 def test_dynamic_restart_window_mean_exceeds_k_times_global():
-    cfg = EngineConfig(restart_kind="dynamic", restart_window=50)
+    cfg = EngineConfig(restart_kind="dynamic")  # window 50
     window = [10] * 50
     assert should_restart(cfg, window, 5.0, 10, 1)  # 10 > 0.8 * 5
     assert not should_restart(cfg, [4] * 50, 5.0, 10, 1)  # 4 is not > 0.8 * 5
 
 
 def test_dynamic_restart_window_not_full():
-    cfg = EngineConfig(restart_kind="dynamic", restart_window=50)
+    cfg = EngineConfig(restart_kind="dynamic")  # window 50
     assert not should_restart(cfg, [10] * 49, 5.0, 10, 1)
 
 

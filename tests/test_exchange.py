@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from vivipar import exchange
 from vivipar.exchange import (EXPORT_MAX_LEN, DoublePublish, SharedClause,
                               SharedPool, export)
 from vivipar.formula import Clause
@@ -96,8 +97,9 @@ def test_import_records_byte_identical():
     assert r1 is r2  # one shared immutable record
 
 
-def test_bounded_buffer_drop_oldest():
-    pool = SharedPool(2, max_pending=3)
+def test_bounded_buffer_drop_oldest(monkeypatch):
+    monkeypatch.setattr(exchange, "MAX_PENDING", 3)
+    pool = SharedPool(2)
     for i in range(5):
         pool.broadcast(SharedClause(lits=(i + 1,), lbd=1, origin=0))
     assert pool.overflows[1] == 2

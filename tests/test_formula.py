@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -57,6 +58,21 @@ def test_parse_rejects_non_dimacs_digits(text, line, token):
 def test_parse_rejects_non_dimacs_header_counts():
     with pytest.raises(MissingHeader):
         parse_dimacs("p cnf 1_0 1\n1 0\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("p cnf -3 2\n1 0\n", 1, "negative counts in header"),
+    ("c x\np cnf 3 -1\n1 0\n", 2, "negative counts in header"),
+    ("p cnf x 2\n1 0\n", 1, "bad header 'p cnf x 2'"),
+    ("p cnf 3\n1 0\n", 1, "bad header 'p cnf 3'"),
+    ("p dnf 3 1\n1 0\n", 1, "bad header 'p dnf 3 1'"),
+    ("p cnf 3 1 7\n1 0\n", 1, "bad header 'p cnf 3 1 7'"),
+], ids=["negative-vars", "negative-clauses-line-2", "vars-not-a-number",
+        "three-fields", "not-cnf", "five-fields"])
+def test_parse_rejects_bad_header(text, line, message):
+    with pytest.raises(MissingHeader,
+                       match=re.escape(f"<input>:{line}: {message}")):
+        parse_dimacs(text)
 
 
 def test_parse_accepts_plus_sign():

@@ -222,6 +222,9 @@ def test_cli_parse_error_reports_file_line(tmp_path, capsys):
     assert cli_main([str(p)]) == 1
     err = capsys.readouterr().err
     assert "bad.cnf" in err and ":2:" in err
+    p.write_text("c x\np cnf 3 -1\n1 0\n")
+    assert cli_main([str(p)]) == 1
+    assert "bad.cnf:2: negative counts in header" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_1(capsys):

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
+import inspect
 import time
 
 import pytest
 
 import vivipar
 from vivipar.cdcl import SAT, UNSAT, UNKNOWN, Engine, EngineConfig
+from vivipar.exchange import SharedPool
 from vivipar.formula import evaluate
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force
@@ -14,7 +16,7 @@ from vivipar.portfolio import (ConfigError, PortfolioConfig, WorkerFault,
                                _build_worker, diversify, run)
 from vivipar.strategy import LPCM, NONE, PCM, ecm
 
-from conftest import mk_formula, php
+from conftest import mk_formula, php, restart_schedule
 
 
 def test_single_worker_deterministic_unsat():
@@ -55,10 +57,11 @@ def test_four_workers_sat_model_verified():
     assert len(res.worker_stats) == 4
 
 
-def test_deterministic_reruns_identical():
+def test_deterministic_reruns_identical(monkeypatch):
+    restart_schedule(monkeypatch.setattr, window=8, unit=10)
     f = gen_random_3sat(20, 85, seed=9)
     cfg = dict(num_workers=4, lcm=ecm(3), seed=7, deterministic=True,
-               reduce_first=20, reduce_inc=10, restart_window=8, luby_unit=10)
+               reduce_first=20, reduce_inc=10)
     r1 = run(f, PortfolioConfig(**cfg))
     r2 = run(f, PortfolioConfig(**cfg))
     assert r1.status == r2.status and r1.winner == r2.winner
@@ -111,7 +114,6 @@ def test_diversify_is_deterministic():
 
 
 def test_homogeneous_lcm_across_workers():
-    from vivipar.exchange import SharedPool
     f = gen_random_3sat(12, 50, seed=0)
     cfg = PortfolioConfig(num_workers=4, lcm=LPCM)
     pool = SharedPool(4)
@@ -138,9 +140,8 @@ def test_config_errors():
         run(f, PortfolioConfig(export_max_lbd=0))
     with pytest.raises(ConfigError, match="unknown lcm kind 'pcmm'"):
         run(f, PortfolioConfig(lcm=LcmMode("pcmm")))
-    # schedules that hung (no reduction gap) or crashed (empty restart window)
-    for bad in (dict(reduce_first=0, reduce_inc=0), dict(reduce_inc=-1),
-                dict(restart_window=0), dict(luby_unit=0)):
+    # schedules that hung (no reduction gap)
+    for bad in (dict(reduce_first=0, reduce_inc=0), dict(reduce_inc=-1)):
         with pytest.raises(ConfigError):
             run(f, PortfolioConfig(deterministic=True, **bad))
     with pytest.raises(ValueError):
@@ -152,10 +153,14 @@ def test_config_surface():
     assert [f.name for f in dataclasses.fields(PortfolioConfig)] == [
         "num_workers", "lcm", "seed", "deterministic", "time_limit",
         "conflict_limit", "export_max_lbd", "quantum", "reduce_first",
-        "reduce_inc", "restart_window", "luby_unit", "recorder"]
+        "reduce_inc", "recorder"]
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-        "restart_kind", "restart_window", "luby_unit", "var_decay",
-        "phase_init", "reduce_first", "reduce_inc"]
+        "restart_kind", "var_decay", "phase_init", "reduce_first",
+        "reduce_inc"]
+    # the restart schedule, the buffer bound and the probe budget are fixed
+    assert list(inspect.signature(SharedPool).parameters) == ["num_workers"]
+    assert not hasattr(vivipar.exchange, "DEFAULT_MAX_PENDING")
+    assert not hasattr(vivipar.vivify, "VIVIFY_BUDGET")
     for name in vivipar.__all__:
         assert getattr(vivipar, name) is not None, name
     assert "ExportFilter" not in vivipar.__all__
@@ -164,7 +169,8 @@ def test_config_surface():
     assert not hasattr(vivipar.vivify, "CandidatePolicy")
 
 
-def test_agreement_across_modes_and_worker_counts():
+def test_agreement_across_modes_and_worker_counts(monkeypatch):
+    restart_schedule(monkeypatch.setattr, window=8, unit=10)
     for seed in range(8):
         f = gen_random_3sat(16, 68, seed + 77)
         want = brute_force(f)[0]
@@ -172,8 +178,7 @@ def test_agreement_across_modes_and_worker_counts():
             for workers in (1, 4):
                 res = run(f, PortfolioConfig(
                     num_workers=workers, lcm=mode, deterministic=True,
-                    reduce_first=15, reduce_inc=10, restart_window=8,
-                    luby_unit=10, quantum=11))
+                    reduce_first=15, reduce_inc=10, quantum=11))
                 assert res.status == want, (seed, mode.label, workers)
 
 
@@ -207,13 +212,14 @@ def test_time_limit_cancels_quickly():
     assert elapsed < 10  # all workers observed the deadline cooperatively
 
 
-def test_overflow_counts_surface_in_stats():
+def test_overflow_counts_surface_in_stats(monkeypatch):
+    restart_schedule(monkeypatch.setattr, window=6)
+    monkeypatch.setattr(vivipar.exchange, "MAX_PENDING", 4)
     f = gen_random_3sat(24, 102, seed=3)
     cfg = PortfolioConfig(num_workers=2, lcm=NONE, deterministic=True,
-                          reduce_first=20, restart_window=6, quantum=64)
+                          reduce_first=20, quantum=64)
     from vivipar import portfolio as pf
-    from vivipar.exchange import SharedPool
-    pool = SharedPool(2, max_pending=4)
+    pool = SharedPool(2)
     stats = [Stats(), Stats()]
     st, _ = pf._run_round_robin(
         [None, None], lambda i: _build_worker(i, f, cfg, pool, stats[i]), cfg)

@@ -13,6 +13,7 @@ invariant checks (the `engine_checks` fixture) stay on throughout.
 import itertools
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +21,19 @@ from vivipar.oracle import brute_force
 from vivipar.portfolio import PortfolioConfig, run
 from vivipar.strategy import LPCM, NONE, PCM, ecm
 
-from conftest import mk_formula, php
+from conftest import mk_formula, php, restart_schedule
 
 MODES = (NONE, PCM, LPCM, ecm(3), ecm(4))
 MAX_VARS = 12
-# a reduction every few conflicts, short restart windows and turns
-SCHEDULE = dict(quantum=2, reduce_first=3, reduce_inc=1, restart_window=3,
-                luby_unit=2)
+# a reduction every few conflicts, short turns and, through the autouse
+# fixture, short restart windows and Luby units
+SCHEDULE = dict(quantum=2, reduce_first=3, reduce_inc=1)
+
+
+@pytest.fixture(autouse=True)
+def short_restarts(monkeypatch):
+    restart_schedule(monkeypatch.setattr, window=3, unit=2)
+
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None,

@@ -1,6 +1,6 @@
 import pytest
 
-from vivipar import strategy, vivify
+from vivipar import strategy
 from vivipar.cdcl import Engine, EngineConfig
 from vivipar.exchange import SharedPool
 from vivipar.formula import Clause
@@ -12,7 +12,7 @@ from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             select_candidates, vivify_clause)
 
 from conftest import (WATCH_VISITS, check_probe, fingerprint, mk_formula, of_kind,
-                      visit_and_check, watch_visit_engine)
+                      restart_schedule, visit_and_check, watch_visit_engine)
 
 
 def engine_with_clause(f_clauses, num_vars, clause_lits, **cfg):
@@ -251,17 +251,6 @@ def test_engine_checks_catch_a_probe_that_leaves_a_trace(engine_checks,
         strategy.vivify_clause(eng, c)
 
 
-def test_budget_aborts_as_unchanged(monkeypatch):
-    monkeypatch.setattr(vivify, "VIVIFY_BUDGET", 5)
-    chain = [[-i, i + 1] for i in range(1, 40)]
-    eng, c = engine_with_clause(chain, 45, [-1, 45])
-    before = eng.stats.propagations_vivify
-    out = vivify_clause(eng, c)
-    assert out.kind == UNCHANGED
-    assert c.vivify_attempted
-    assert eng.stats.propagations_vivify - before > 5
-
-
 def test_state_restoration_on_random_instances():
     # uf50-class instances, which 40 conflicts mostly leave unsolved, so
     # that the probes run
@@ -287,13 +276,14 @@ def test_state_restoration_on_random_instances():
     assert probed >= 10
 
 
-def test_strict_progress_and_soundness_random():
+def test_strict_progress_and_soundness_random(monkeypatch):
+    restart_schedule(monkeypatch.setattr, window=8)
     total = successes = 0
     for seed in range(40):
         f = gen_random_3sat(22, 94, seed + 321)
         log = []
-        eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5,
-                                     restart_window=8), recorder=log.append)
+        eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5),
+                     recorder=log.append)
         Strategy(PCM, eng, SharedPool(1))
         eng.step(conflict_limit=400)
         for _, _, old, new in of_kind(log, "replace"):
