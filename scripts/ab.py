@@ -1,6 +1,6 @@
 """In-process A/B timing of two vivipar checkouts on one benchmark workload.
 
-    python3 scripts/ab.py --base ../parent --new . --workload uf-sat-det --reps 4
+    python3 scripts/ab.py --base ../parent --new . --workload uf-sat-det --reps 12
 
 Both checkouts' ``src/vivipar`` packages are loaded into this one process
 under different package names, so that both sides share the interpreter,
@@ -8,7 +8,10 @@ its warm caches and every stretch of host noise.  The workload's corpus
 (from this checkout's ``perfbench``, at the same sizes and settings as
 ``perfbench/run.py``) is solved in all five LCM modes, and the two sides run
 back to back on each operation, base first on even reps and new first on
-odd ones.  Each operation counts at its fastest rep.
+odd ones.  Each operation counts at its fastest rep.  The default of 12
+reps is what it takes to resolve a few percent on ``php-unsat-det``: there
+one rep is 5 operations on one instance, so a few host stalls move a 4-rep
+reading by several percent.
 
 Before the timed reps, one untimed pass solves every operation on both sides
 with an event recorder attached.  Prints, per mode, each side's total of
@@ -107,7 +110,7 @@ def main(argv=None):
                    choices=sorted(k for k, w in bench.WORKLOADS.items() if w.deterministic))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size", default="full", choices=sorted(bench.SIZES))
-    p.add_argument("--reps", type=int, default=4)
+    p.add_argument("--reps", type=int, default=12)
     args = p.parse_args(argv)
     if args.reps < 1:
         p.error("--reps must be at least 1")

@@ -85,7 +85,6 @@ class Engine:
 
     def __init__(self, formula, config=None, stats=None, worker_id=0,
                  recorder=None):
-        self.formula = formula
         self.cfg = config or EngineConfig()
         self.stats = stats if stats is not None else Stats()
         self.worker_id = worker_id

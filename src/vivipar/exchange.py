@@ -17,6 +17,8 @@ from typing import NamedTuple
 MAX_PENDING = 1 << 16
 # Longer clauses are never exported, whatever their LBD.
 EXPORT_MAX_LEN = 30
+# Clauses with a higher LBD are never exported, whatever their length.
+EXPORT_MAX_LBD = 4
 
 
 class DoublePublish(Exception):
@@ -91,10 +93,10 @@ class SharedPool:
         return self._improvements.get(key)
 
 
-def export(pool, worker, clause, max_lbd, mode, lits=None, lbd=None, stats=None,
+def export(pool, worker, clause, mode, lits=None, lbd=None, stats=None,
            recorder=None):
-    """Export a clause of ``worker`` if ``lbd <= max_lbd`` and it has at
-    most `EXPORT_MAX_LEN` literals.
+    """Export a clause of ``worker`` if its LBD is at most `EXPORT_MAX_LBD`
+    and it has at most `EXPORT_MAX_LEN` literals.
 
     ``lits``/``lbd`` override the clause's current form (the ECM flush
     exports the post-vivification form).  In LPCM mode a clause the worker
@@ -109,7 +111,7 @@ def export(pool, worker, clause, max_lbd, mode, lits=None, lbd=None, stats=None,
         return False
     lits = tuple(lits if lits is not None else clause.lits)
     lbd = lbd if lbd is not None else clause.lbd
-    if lbd > max_lbd or len(lits) > EXPORT_MAX_LEN:
+    if lbd > EXPORT_MAX_LBD or len(lits) > EXPORT_MAX_LEN:
         return False
     cid = None
     if mode.kind == "lpcm" and not clause.vivify_attempted and len(lits) >= 2:

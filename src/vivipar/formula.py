@@ -308,9 +308,6 @@ class Clause:
         self.cid = cid
         self.removed = False
 
-    def __len__(self):
-        return len(self.lits)
-
     def __repr__(self):
         kind = "imp" if self.imported else ("lrn" if self.learned else "orig")
         return f"Clause#{self.cid}({self.lits}, lbd={self.lbd}, {kind})"

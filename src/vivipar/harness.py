@@ -1,8 +1,10 @@
-"""CLI entry point, run records, CSV emission, and the test-corpus generator.
+"""CLI entry point, stats-CSV rows, and the test-corpus generator.
 
 Output follows SAT-Competition conventions: an ``s`` status line, ``v``
 model lines for satisfiable instances, and exit codes 10 (SAT), 20 (UNSAT),
-0 (unknown), 1 (usage or input error), 3 (a worker failed).
+0 (unknown), 1 (usage or input error), 3 (a worker failed).  A stats CSV
+holds a header and one row per run, each built by `csv_row` from the
+instance, the mode label, the worker count and the run's `PortfolioResult`.
 """
 
 from __future__ import annotations
@@ -10,20 +12,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import os
 import random
 import sys
 import traceback
-from dataclasses import make_dataclass
 
 from . import portfolio
 from .cdcl import SAT, UNSAT
 from .formula import Formula, ParseError, normalize_clause, parse_dimacs_file
 from .portfolio import ConfigError, PortfolioConfig, WorkerFault
 from .stats import COUNTERS
-from .strategy import LcmMode
+from .strategy import mode_from_label
 
-SEED_ENV_VAR = "VIVIPAR_SEED"
 DEFAULT_TIME_LIMIT = 60.0
 
 CSV_COLUMNS = ["instance", "mode", "workers", "status", "wall_seconds",
@@ -43,62 +42,22 @@ def gen_random_3sat(n, m, seed):
     return Formula(num_vars=n, clauses=tuple(clauses))
 
 
-RunRecord = make_dataclass(
-    "RunRecord",
-    [("instance", str), ("mode", str), ("workers", int), ("status", str),
-     ("wall_seconds", float), *((name, int) for name in COUNTERS),
-     ("vivify_prop_pct", float), ("success_rate", float)],
-    frozen=True,
-    namespace={"__doc__": "One CSV row: a (instance, mode) run with one field "
-                          "per `Stats` counter, summed over its workers.  Float "
-                          "fields are pre-rounded to their CSV precision, so "
-                          "emitting and re-parsing a record reproduces it."})
+def csv_row(instance, mode_label, workers, result):
+    """One stats-CSV row of a `PortfolioResult`: its status and wall time,
+    then its `Stats` summed over its workers, in `CSV_COLUMNS` order."""
+    stats = result.aggregate()
+    return [instance, mode_label, workers, result.status,
+            f"{result.wall_seconds:.3f}",
+            *(getattr(stats, name) for name in COUNTERS),
+            f"{stats.vivify_prop_pct:.2f}", f"{stats.success_rate:.4f}"]
 
 
-def make_record(instance, mode_label, workers, status, wall_seconds, stats):
-    """Build a RunRecord from aggregated Stats."""
-    return RunRecord(
-        instance, mode_label, workers, status, float(f"{wall_seconds:.3f}"),
-        *(getattr(stats, name) for name in COUNTERS),
-        float(f"{stats.vivify_prop_pct:.2f}"), float(f"{stats.success_rate:.4f}"))
-
-
-def emit_csv(records, path):
-    """Write header plus one row per record to the file ``path``."""
-    with open(path, "w", newline="") as fh:
-        write_csv(records, fh)
-
-
-def write_csv(records, fh):
-    """Write header plus one row per record to a text file opened with
-    ``newline=""``: stable column order, percentages with two decimals."""
+def write_csv(rows, fh):
+    """Write the header and ``rows`` (each from `csv_row`) to a text file
+    opened with ``newline=""``."""
     w = csv.writer(fh)
     w.writerow(CSV_COLUMNS)
-    for r in records:
-        w.writerow([
-            r.instance, r.mode, r.workers, r.status,
-            f"{r.wall_seconds:.3f}",
-            *(getattr(r, name) for name in COUNTERS),
-            f"{r.vivify_prop_pct:.2f}",
-            f"{r.success_rate:.4f}",
-        ])
-
-
-def read_csv(path):
-    """Parse a stats CSV back into RunRecords (inverse of emit_csv)."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV schema: expected columns "
-                             f"{CSV_COLUMNS}, found {reader.fieldnames}")
-        for row in reader:
-            records.append(RunRecord(
-                row["instance"], row["mode"], int(row["workers"]), row["status"],
-                float(row["wall_seconds"]),
-                *(int(row[name]) for name in COUNTERS),
-                float(row["vivify_prop_pct"]), float(row["success_rate"])))
-    return records
+    w.writerows(rows)
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -108,20 +67,27 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _lcm_mode(label):
+    """`--lcm`'s type: a mode label, read by `strategy.mode_from_label`."""
+    try:
+        return mode_from_label(label)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _build_parser():
     p = _CliParser(prog="vivipar",
                    description="Parallel portfolio CDCL SAT solver with "
                                "vivification-based learned-clause minimization.")
     p.add_argument("file", help="DIMACS CNF input")
-    p.add_argument("--lcm", default="none", choices=["none", "pcm", "lpcm", "ecm"],
-                   help="learned-clause minimization mode (default: none)")
-    p.add_argument("--ecm-max-lbd", type=int, default=3, metavar="N",
-                   help="ECM withholds clauses with LBD <= N (default: 3)")
+    p.add_argument("--lcm", default="none", type=_lcm_mode, metavar="MODE",
+                   help="learned-clause minimization mode: none, pcm, lpcm, "
+                        "or ecmN, where ECM withholds clauses with LBD <= N "
+                        "(ecm means ecm3; default: none)")
     p.add_argument("--threads", type=int, default=2, metavar="N",
                    help="portfolio size: workers that take round-robin turns "
                         "(default: 2)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
     p.add_argument("--deterministic", action="store_true",
                    help="report wall time as 0, so stats CSVs are byte-identical")
     p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
@@ -130,8 +96,6 @@ def _build_parser():
                    help="per-worker conflict budget")
     p.add_argument("--stats-csv", metavar="PATH",
                    help="write one CSV row of run statistics")
-    p.add_argument("--export-max-lbd", type=int, default=4, metavar="N",
-                   help="export filter LBD bound (default: 4)")
     return p
 
 
@@ -142,16 +106,6 @@ def cli_main(argv=None):
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
 
-    seed = args.seed
-    if seed is None:
-        raw_seed = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed = int(raw_seed)
-        except ValueError:
-            print(f"error: {SEED_ENV_VAR} must be an integer, got {raw_seed!r}",
-                  file=sys.stderr)
-            return 1
-
     try:
         formula = parse_dimacs_file(args.file)
     except ParseError as e:
@@ -161,16 +115,13 @@ def cli_main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    # --ecm-max-lbd is checked under every --lcm, not only where it is used
-    mode = LcmMode(args.lcm, args.ecm_max_lbd)
     config = PortfolioConfig(
         num_workers=args.threads,
-        lcm=mode,
-        seed=seed,
+        lcm=args.lcm,
+        seed=args.seed,
         deterministic=args.deterministic,
         time_limit=args.time_limit,
         conflict_limit=args.conflict_limit,
-        export_max_lbd=args.export_max_lbd,
     )
     try:
         config.validate()
@@ -190,7 +141,7 @@ def cli_main(argv=None):
                 return 1
 
         print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
-              f"mode={mode.label}, workers={config.num_workers}"
+              f"mode={config.lcm.label}, workers={config.num_workers}"
               f"{', deterministic' if config.deterministic else ''}")
         try:
             result = portfolio.run(formula, config)
@@ -200,10 +151,8 @@ def cli_main(argv=None):
             return 3
 
         if stats_fh is not None:
-            record = make_record(args.file, mode.label, config.num_workers,
-                                 result.status, result.wall_seconds,
-                                 result.aggregate())
-            write_csv([record], stats_fh)
+            row = csv_row(args.file, config.lcm.label, config.num_workers, result)
+            write_csv([row], stats_fh)
 
     # run() has already verified a SAT model against the formula
     if result.status == SAT:

@@ -47,7 +47,6 @@ class PortfolioConfig:
     deterministic: bool = False  # pins the reported wall time to 0
     time_limit: float | None = None
     conflict_limit: int | None = None
-    export_max_lbd: int = 4
     quantum: int = 512  # conflicts per worker turn
     reduce_first: int = 2000
     reduce_inc: int = 300
@@ -66,8 +65,6 @@ class PortfolioConfig:
             raise ConfigError("conflict_limit must be >= 0")
         if self.quantum < 1:
             raise ConfigError("quantum must be >= 1")
-        if self.export_max_lbd < 1:
-            raise ConfigError("export_max_lbd must be >= 1")
         # a zero schedule hangs (reductions with no conflict between them)
         if self.reduce_first < 1:
             raise ConfigError("reduce_first must be >= 1")
@@ -116,7 +113,7 @@ def _build_worker(index, formula, config, pool, stats):
     strategy over ``pool`` installed as the engine's hooks."""
     engine = Engine(formula, diversify(index, config), stats, worker_id=index,
                     recorder=config.recorder)
-    Strategy(config.lcm, engine, pool, config.export_max_lbd)
+    Strategy(config.lcm, engine, pool)
     return engine
 
 

@@ -49,13 +49,14 @@ def ecm(max_lbd=3):
 
 
 def mode_from_label(label):
-    """Inverse of LcmMode.label, e.g. "ecm4" -> LcmMode("ecm", 4)."""
-    if label.startswith("ecm") and label != "ecm":
-        return ecm(int(label[3:]))
+    """Inverse of LcmMode.label, e.g. "ecm4" -> LcmMode("ecm", 4); plain
+    "ecm" means ecm3."""
     if label in ("none", "pcm", "lpcm"):
         return LcmMode(label)
     if label == "ecm":
         return ecm()
+    if label.startswith("ecm") and label[3:].isdecimal():
+        return ecm(int(label[3:]))
     raise ValueError(f"unknown lcm mode {label!r}")
 
 
@@ -63,16 +64,15 @@ class Strategy:
     """Per-worker minimization workflow, installed as the engine's hooks.
 
     The strategy makes every pool call of its worker: it exports learned
-    clauses (only with LBD <= ``export_max_lbd``), admits imports at level
-    0, and publishes and adopts LPCM improvements.  So the record format
-    and the LPCM key stay between it and the exchange module.
+    clauses (only with LBD <= `exchange.EXPORT_MAX_LBD`), admits imports
+    at level 0, and publishes and adopts LPCM improvements.  So the record
+    format and the LPCM key stay between it and the exchange module.
     """
 
-    def __init__(self, mode, engine, pool, export_max_lbd=4):
+    def __init__(self, mode, engine, pool):
         self.mode = mode
         self.engine = engine
         self.pool = pool
-        self.export_max_lbd = export_max_lbd
         self.reduce_pending = False
         self.ecm_withheld = deque()
         engine.hooks = self
@@ -120,19 +120,19 @@ class Strategy:
     def on_level_zero(self):
         """Quiescent at level 0 (restart or natural backjump).
 
-        Drains the worker's inbound buffer until it is empty, admitting each
-        record under the exporter's claimed LBD, and stops at the first
-        record that leaves the engine terminal.  Then runs a pending
-        PCM/LPCM pass.
+        Drains the worker's inbound buffer once, admitting each record
+        under the exporter's claimed LBD, and stops at the first record that
+        leaves the engine terminal.  Then runs a pending PCM/LPCM pass.
+        Nothing here broadcasts, and the other workers wait for their turns,
+        so the buffer stays empty after the drain.
         """
         eng = self.engine
-        while records := self.pool.drain(eng.worker_id):
-            for rec in records:
-                c = eng._admit(rec.lits, rec.lbd, imported=True)
-                if c is not None and rec.cid is not None:
-                    c.link = (rec.origin, rec.cid)
-                if eng._terminal is not None:
-                    return
+        for rec in self.pool.drain(eng.worker_id):
+            c = eng._admit(rec.lits, rec.lbd, imported=True)
+            if c is not None and rec.cid is not None:
+                c.link = (rec.origin, rec.cid)
+            if eng._terminal is not None:
+                return
         if self.reduce_pending:
             self._vivify_and_reduce()
 
@@ -140,9 +140,9 @@ class Strategy:
 
     def _export(self, clause, lits=None, lbd=None):
         eng = self.engine
-        return exchange.export(self.pool, eng.worker_id, clause,
-                               self.export_max_lbd, self.mode, lits=lits, lbd=lbd,
-                               stats=eng.stats, recorder=eng.recorder)
+        return exchange.export(self.pool, eng.worker_id, clause, self.mode,
+                               lits=lits, lbd=lbd, stats=eng.stats,
+                               recorder=eng.recorder)
 
     def _vivify(self, c):
         """Vivify one clause at level 0 and fold the outcome back.

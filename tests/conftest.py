@@ -178,7 +178,8 @@ def engine_checks(monkeypatch):
     1, both unassigned.  Every vivification probe a `Strategy` makes keeps
     the probe contract of `check_probe` and spends at most one propagation
     per variable unassigned at level 0.  `Strategy.on_level_zero` leaves a
-    non-terminal engine with no pending propagation."""
+    non-terminal engine with no pending propagation and an empty inbound
+    buffer, which is why it drains the buffer once."""
     analyze, learn, admit = Engine.analyze_conflict, Engine._learn, Engine._admit
     vivify_clause = vivipar.strategy.vivify_clause
     on_level_zero = vivipar.strategy.Strategy.on_level_zero
@@ -220,8 +221,11 @@ def engine_checks(monkeypatch):
     def checked_on_level_zero(self):
         on_level_zero(self)
         eng = self.engine
-        assert eng._terminal is not None or eng.qhead == len(eng.trail), \
-            "level-0 hook left a propagation pending"
+        if eng._terminal is None:
+            assert eng.qhead == len(eng.trail), \
+                "level-0 hook left a propagation pending"
+            assert self.pool.pending(eng.worker_id) == 0, \
+                "level-0 hook left records in the inbound buffer"
 
     monkeypatch.setattr(Engine, "analyze_conflict", analyze_conflict)
     monkeypatch.setattr(Engine, "_learn", _learn)

@@ -337,9 +337,7 @@ def test_criterion_6_deterministic_csv_identical(tmp_path, capsys):
     for label in MODE_LABELS:
         csv_a, csv_b = tmp_path / f"{label}_a.csv", tmp_path / f"{label}_b.csv"
         argv = [str(inst), "--deterministic", "--seed", "17", "--threads", "4",
-                "--lcm", label if not label.startswith("ecm") else "ecm"]
-        if label.startswith("ecm"):
-            argv += ["--ecm-max-lbd", label[3:]]
+                "--lcm", label]
         code_a = cli_main(argv + ["--stats-csv", str(csv_a)])
         code_b = cli_main(argv + ["--stats-csv", str(csv_b)])
         assert code_a == code_b

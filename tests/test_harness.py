@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import pytest
 import vivipar
 from vivipar.cdcl import Engine
 from vivipar.formula import Formula, evaluate, to_dimacs
-from vivipar.harness import (CSV_COLUMNS, cli_main, emit_csv, gen_random_3sat,
-                             make_record, read_csv)
+from vivipar.harness import CSV_COLUMNS, cli_main, csv_row, gen_random_3sat, write_csv
 from vivipar.oracle import brute_force
+from vivipar.portfolio import PortfolioResult
 from vivipar.stats import Stats, merge_stats
 
 from conftest import php
@@ -27,11 +28,21 @@ def test_generator_status_mix_at_phase_transition():
 
 # ---------------------------------------------------------------- stats/CSV
 
-def rec(i, pct=12.345, rate=0.56789):
+def row(i):
     s = Stats(propagations_total=1000, propagations_vivify=123,
               vivify_attempts=10, vivify_successes=4, conflicts=50)
-    r = make_record(f"inst{i}.cnf", "pcm", 4, "SAT", 1.23456, s)
-    return r
+    result = PortfolioResult("SAT", None, 0, 1.23456, [s, Stats(conflicts=7)])
+    return csv_row(f"inst{i}.cnf", "pcm", 4, result)
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        write_csv(rows, fh)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def test_stats_invariants():
@@ -54,36 +65,29 @@ def test_merge_stats_sums_fields():
 
 def test_emit_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path)
+    write_rows(path, [])
     assert path.read_bytes() == (",".join(CSV_COLUMNS) + "\r\n").encode()
 
 
 def test_emit_two_rows_and_decimals(tmp_path):
     path = tmp_path / "two.csv"
-    emit_csv([rec(1), rec(2)], path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    row = lines[1].split(",")
-    assert row[0] == "inst1.cnf" and row[1] == "pcm"
-    assert row[CSV_COLUMNS.index("vivify_prop_pct")] == "12.30"
-    assert row[CSV_COLUMNS.index("success_rate")] == "0.4000"
-    assert row[CSV_COLUMNS.index("wall_seconds")] == "1.235"
+    write_rows(path, [row(1), row(2)])
+    header, first, second = read_rows(path)
+    assert header == CSV_COLUMNS
+    assert first[:4] == ["inst1.cnf", "pcm", "4", "SAT"]
+    assert second[0] == "inst2.cnf"
+    col = dict(zip(header, first))
+    assert col["vivify_prop_pct"] == "12.30"
+    assert col["success_rate"] == "0.4000"
+    assert col["wall_seconds"] == "1.235"
+    assert col["conflicts"] == "57"  # summed over the workers
 
 
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "rt.csv"
-    records = [rec(i) for i in range(5)]
-    emit_csv(records, path)
-    assert read_csv(path) == records
-
-
-def test_csv_read_rejects_wrong_header(tmp_path):
-    # a schema error, not a KeyError, also under python -O
-    path = tmp_path / "wrong.csv"
-    path.write_text("a,b\r\n1,2\r\n")
-    with pytest.raises(ValueError, match=r"expected columns \['instance'.*"
-                                         r"found \['a', 'b'\]"):
-        read_csv(path)
+    rows = [row(i) for i in range(5)]
+    write_rows(path, rows)
+    assert read_rows(path) == [CSV_COLUMNS, *([str(v) for v in r] for r in rows)]
 
 
 # ---------------------------------------------------------------- CLI
@@ -198,13 +202,9 @@ def test_cli_deterministic_worker_fault_exit_3(unsat_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--lcm=ecm", "--ecm-max-lbd", "0"], "ecm_max_lbd must be >= 1"),
-    (["--lcm=pcm", "--ecm-max-lbd", "0"], "ecm_max_lbd must be >= 1"),
-    (["--export-max-lbd", "0"], "export_max_lbd must be >= 1"),
     (["--time-limit", "nan"], "time_limit must be positive"),
     (["--time-limit", "0"], "time_limit must be positive"),
-], ids=["ecm-max-lbd-0", "pcm-ecm-max-lbd-0", "export-max-lbd-0",
-        "time-limit-nan", "time-limit-0"])
+], ids=["time-limit-nan", "time-limit-0"])
 def test_cli_bad_option_value_exit_1(unsat_file, capsys, args, message):
     assert cli_main([unsat_file, "--deterministic", *args]) == 1
     captured = capsys.readouterr()
@@ -234,14 +234,39 @@ def test_cli_missing_file_exit_1(capsys):
 def test_cli_ecm_mode_label_in_csv(sat_file, tmp_path, capsys):
     path, _ = sat_file
     csv_path = tmp_path / "stats.csv"
-    code = cli_main([path, "--lcm=ecm", "--ecm-max-lbd=3", "--deterministic",
+    code = cli_main([path, "--lcm=ecm", "--deterministic",
                      "--stats-csv", str(csv_path)])
     assert code == 10
-    records = read_csv(csv_path)
-    assert len(records) == 1
-    assert records[0].mode == "ecm3"
-    assert records[0].workers >= 1
-    assert records[0].status == "SAT"
+    header, *rows = read_rows(csv_path)
+    assert len(rows) == 1
+    col = dict(zip(header, rows[0]))
+    assert col["mode"] == "ecm3"
+    assert col["workers"] == "2"
+    assert col["status"] == "SAT"
+
+
+@pytest.mark.parametrize("label", ["none", "pcm", "lpcm", "ecm3", "ecm4"])
+def test_cli_lcm_takes_the_mode_label(sat_file, tmp_path, capsys, label):
+    path, _ = sat_file
+    csv_path = tmp_path / "stats.csv"
+    assert cli_main([path, "--lcm", label, "--deterministic",
+                     "--stats-csv", str(csv_path)]) == 10
+    header, values = read_rows(csv_path)
+    assert values[header.index("mode")] == label
+    assert f"mode={label}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("label, message", [
+    ("ecm0", "ecm_max_lbd must be >= 1"),
+    ("foo", "unknown lcm mode 'foo'"),
+], ids=["ecm0", "foo"])
+def test_cli_bad_lcm_label_exit_1(sat_file, capsys, label, message):
+    path, _ = sat_file
+    assert cli_main([path, "--lcm", label]) == 1
+    captured = capsys.readouterr()
+    assert [l for l in captured.err.splitlines() if l.startswith("error:")] == [
+        f"error: argument --lcm: {message}"]
+    assert not captured.out
 
 
 def test_cli_bad_stats_csv_path_exit_1_before_solving(sat_file, tmp_path, capsys,
@@ -259,27 +284,6 @@ def test_cli_bad_stats_csv_path_exit_1_before_solving(sat_file, tmp_path, capsys
     assert len(captured.err.splitlines()) == 1
     assert not captured.out
     assert not bad.parent.exists()
-
-
-def test_cli_seed_env_fallback(sat_file, tmp_path, capsys, monkeypatch):
-    path, _ = sat_file
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("VIVIPAR_SEED", "99")
-    cli_main([path, "--deterministic", "--threads", "3", "--lcm=pcm",
-              "--stats-csv", str(a)])
-    monkeypatch.delenv("VIVIPAR_SEED")
-    cli_main([path, "--deterministic", "--threads", "3", "--lcm=pcm",
-              "--seed", "99", "--stats-csv", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cli_seed_env_not_an_integer_exit_1(sat_file, capsys, monkeypatch):
-    path, _ = sat_file
-    monkeypatch.setenv("VIVIPAR_SEED", "abc")
-    assert cli_main([path, "--deterministic"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.strip() == "error: VIVIPAR_SEED must be an integer, got 'abc'"
-    assert "s " not in captured.out
 
 
 def test_import_does_not_load_numpy():

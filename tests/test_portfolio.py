@@ -136,8 +136,6 @@ def test_config_errors():
         run(f, PortfolioConfig(lcm=LcmMode("ecm", 0)))
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(lcm=LcmMode("pcm", 0)))
-    with pytest.raises(ConfigError):
-        run(f, PortfolioConfig(export_max_lbd=0))
     with pytest.raises(ConfigError, match="unknown lcm kind 'pcmm'"):
         run(f, PortfolioConfig(lcm=LcmMode("pcmm")))
     # schedules that hung (no reduction gap)
@@ -152,13 +150,17 @@ def test_config_surface():
     # every settable value is deliberate: a new knob must edit this test
     assert [f.name for f in dataclasses.fields(PortfolioConfig)] == [
         "num_workers", "lcm", "seed", "deterministic", "time_limit",
-        "conflict_limit", "export_max_lbd", "quantum", "reduce_first",
-        "reduce_inc", "recorder"]
+        "conflict_limit", "quantum", "reduce_first", "reduce_inc", "recorder"]
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "restart_kind", "var_decay", "phase_init", "reduce_first",
         "reduce_inc"]
-    # the restart schedule, the buffer bound and the probe budget are fixed
+    # the restart schedule, the buffer bound, the probe budget and the
+    # export filter are fixed
     assert list(inspect.signature(SharedPool).parameters) == ["num_workers"]
+    assert vivipar.exchange.EXPORT_MAX_LBD == 4
+    assert "max_lbd" not in inspect.signature(vivipar.exchange.export).parameters
+    assert list(inspect.signature(vivipar.strategy.Strategy).parameters) == [
+        "mode", "engine", "pool"]
     assert not hasattr(vivipar.exchange, "DEFAULT_MAX_PENDING")
     assert not hasattr(vivipar.vivify, "VIVIFY_BUDGET")
     for name in vivipar.__all__:

@@ -1,6 +1,6 @@
 import pytest
 
-from vivipar import cdcl
+from vivipar import cdcl, exchange
 from vivipar.cdcl import Engine, EngineConfig, SAT, UNKNOWN, UNSAT
 from vivipar.exchange import SharedClause, SharedPool
 from vivipar.formula import Clause
@@ -35,6 +35,10 @@ def test_mode_labels():
     assert ecm(3).label == "ecm3" and ecm(4).label == "ecm4"
     assert mode_from_label("ecm4") == ecm(4)
     assert mode_from_label("pcm") == PCM
+    assert mode_from_label("ecm") == ecm(3)
+    for bad in ("ecmx", "ecm-1", "PCM"):
+        with pytest.raises(ValueError, match=f"unknown lcm mode '{bad}'"):
+            mode_from_label(bad)
 
 
 # ---------------------------------------------------------------- on_learn
@@ -63,6 +67,16 @@ def test_pcm_exports_immediately_without_link():
     rec = pool.drain(1)[0]
     assert rec.lits == (1, 2, 3) and rec.cid is None
     assert c.link is None
+
+
+def test_export_filter_reads_the_module_bound(monkeypatch):
+    pool, eng, strat = wire(PCM)
+    high = exchange.EXPORT_MAX_LBD + 1
+    strat.on_learn(learn_clause(eng, [1, 2, 3, 4, 5], lbd=high))
+    assert pool.pending(1) == 0
+    monkeypatch.setattr(exchange, "EXPORT_MAX_LBD", high)
+    strat.on_learn(learn_clause(eng, [1, 2, 3, 4, 6], lbd=high))
+    assert [r.lbd for r in pool.drain(1)] == [high]
 
 
 def test_unit_lemma_is_exported_even_under_ecm():
