@@ -8,7 +8,7 @@ from .harness import cli_main, gen_random_3sat
 from .portfolio import (ConfigError, PortfolioConfig, PortfolioResult, WorkerFault,
                         diversify, run)
 from .stats import Stats, merge_stats
-from .strategy import LPCM, NONE, PCM, LcmMode, Strategy, ecm, mode_from_label
+from .strategy import Strategy, mode_from_label
 from .vivify import VivifyOutcome, select_candidates, vivify_clause
 
 __version__ = "0.1.0"
@@ -20,6 +20,6 @@ __all__ = [
     "cli_main", "gen_random_3sat",
     "ConfigError", "PortfolioConfig", "PortfolioResult", "WorkerFault", "diversify", "run",
     "Stats", "merge_stats",
-    "LPCM", "NONE", "PCM", "LcmMode", "Strategy", "ecm", "mode_from_label",
+    "Strategy", "mode_from_label",
     "VivifyOutcome", "select_candidates", "vivify_clause",
 ]

@@ -114,7 +114,7 @@ def export(pool, worker, clause, mode, lits=None, lbd=None, stats=None,
     if lbd > EXPORT_MAX_LBD or len(lits) > EXPORT_MAX_LEN:
         return False
     cid = None
-    if mode.kind == "lpcm" and not clause.vivify_attempted and len(lits) >= 2:
+    if mode == "lpcm" and not clause.vivify_attempted and len(lits) >= 2:
         cid = clause.cid
         clause.link = (worker, cid)
     record = SharedClause(lits, lbd, worker, cid)

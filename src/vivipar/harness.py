@@ -141,7 +141,7 @@ def cli_main(argv=None):
                 return 1
 
         print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
-              f"mode={config.lcm.label}, workers={config.num_workers}"
+              f"mode={config.lcm}, workers={config.num_workers}"
               f"{', deterministic' if config.deterministic else ''}")
         try:
             result = portfolio.run(formula, config)
@@ -151,7 +151,7 @@ def cli_main(argv=None):
             return 3
 
         if stats_fh is not None:
-            row = csv_row(args.file, config.lcm.label, config.num_workers, result)
+            row = csv_row(args.file, config.lcm, config.num_workers, result)
             write_csv([row], stats_fh)
 
     # run() has already verified a SAT model against the formula

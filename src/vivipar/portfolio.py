@@ -21,7 +21,7 @@ from .cdcl import SAT, UNKNOWN, Engine, EngineConfig
 from .exchange import SharedPool
 from .formula import evaluate
 from .stats import Stats, merge_stats
-from .strategy import KINDS, LcmMode, NONE, Strategy
+from .strategy import Strategy, mode_from_label
 
 class ConfigError(Exception):
     """Contradictory or out-of-range portfolio configuration."""
@@ -42,7 +42,7 @@ class WorkerFault(Exception):
 @dataclass
 class PortfolioConfig:
     num_workers: int = 1
-    lcm: LcmMode = NONE
+    lcm: str = "none"  # a mode label, canonical: "ecm3", not "ecm"
     seed: int = 0
     deterministic: bool = False  # pins the reported wall time to 0
     time_limit: float | None = None
@@ -55,10 +55,13 @@ class PortfolioConfig:
     def validate(self):
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        if self.lcm.kind not in KINDS:
-            raise ConfigError(f"unknown lcm kind {self.lcm.kind!r}")
-        if self.lcm.ecm_max_lbd < 1:
-            raise ConfigError("ecm_max_lbd must be >= 1")
+        try:
+            canonical = mode_from_label(self.lcm) == self.lcm
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ConfigError(f"lcm must be none, pcm, lpcm or ecmN (N >= 1), "
+                              f"not {self.lcm!r}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ConfigError("time_limit must be positive")
         if self.conflict_limit is not None and self.conflict_limit < 0:

@@ -7,56 +7,40 @@
 * LPCM: PCM, plus successful vivifications of exported clauses are
   published to the pool under the key (origin, cid); importers look their
   copies' keys up during their own reductions, swapping in improvements.
-* ECM: freshly learned clauses with LBD <= ecm_max_lbd are withheld from
+* ECM (ecmN): freshly learned clauses with LBD <= N are withheld from
   export and protected from reduction; at the next restart they are
   vivified, exported in final form, and unprotected.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from dataclasses import dataclass
 
 from . import exchange
 from .vivify import (apply_outcome, satisfied_at_root, select_candidates,
                      vivify_clause)
 
 
-KINDS = ("none", "pcm", "lpcm", "ecm")
+# "ecmN" with N >= 1 in ASCII digits and no leading zero, so that a label
+# and its mode are inverses
+_ECM_LABEL = re.compile(r"ecm([1-9][0-9]*)")
 
 
-@dataclass(frozen=True)
-class LcmMode:
-    kind: str  # one of KINDS
-    ecm_max_lbd: int = 3
-
-    @property
-    def label(self):
-        if self.kind == "ecm":
-            return f"ecm{self.ecm_max_lbd}"
-        return self.kind
-
-
-NONE = LcmMode("none")
-PCM = LcmMode("pcm")
-LPCM = LcmMode("lpcm")
-
-
-def ecm(max_lbd=3):
-    if max_lbd < 1:
-        raise ValueError("ecm_max_lbd must be >= 1")
-    return LcmMode("ecm", ecm_max_lbd=max_lbd)
+def _ecm_bound(label):
+    """N for the ECM mode "ecmN"; 0 for every other label."""
+    m = _ECM_LABEL.fullmatch(label) if isinstance(label, str) else None
+    return int(m[1]) if m else 0
 
 
 def mode_from_label(label):
-    """Inverse of LcmMode.label, e.g. "ecm4" -> LcmMode("ecm", 4); plain
-    "ecm" means ecm3."""
-    if label in ("none", "pcm", "lpcm"):
-        return LcmMode(label)
+    """The mode that ``label`` names, as its canonical label: none, pcm,
+    lpcm or ecmN.  Plain "ecm" means ecm3; any other label is its own
+    mode or raises ValueError."""
     if label == "ecm":
-        return ecm()
-    if label.startswith("ecm") and label[3:].isdecimal():
-        return ecm(int(label[3:]))
+        return "ecm3"
+    if label in ("none", "pcm", "lpcm") or _ecm_bound(label):
+        return label
     raise ValueError(f"unknown lcm mode {label!r}")
 
 
@@ -70,7 +54,8 @@ class Strategy:
     """
 
     def __init__(self, mode, engine, pool):
-        self.mode = mode
+        self.mode = mode  # a canonical label, see `mode_from_label`
+        self.ecm_max_lbd = _ecm_bound(mode)  # 0: not ECM, nothing withheld
         self.engine = engine
         self.pool = pool
         self.reduce_pending = False
@@ -89,9 +74,7 @@ class Strategy:
         if recorder is not None:
             recorder(("learn", self.engine.worker_id, clause.cid, clause.lbd,
                       tuple(clause.lits)))
-        mode = self.mode
-        if (mode.kind == "ecm" and not clause.vivify_attempted
-                and clause.lbd <= mode.ecm_max_lbd):
+        if clause.lbd <= self.ecm_max_lbd and not clause.vivify_attempted:
             clause.protected = True
             self.ecm_withheld.append(clause)
             if recorder is not None:
@@ -101,14 +84,14 @@ class Strategy:
 
     def on_restart(self):
         """The engine just backtracked to level 0 for a restart."""
-        if self.mode.kind == "ecm":
+        if self.ecm_max_lbd:
             self._flush_withheld()
         elif self.reduce_pending:
             self._vivify_and_reduce()
 
     def before_reduce(self):
         """The reduction schedule fired."""
-        if self.mode.kind in ("pcm", "lpcm"):
+        if self.mode in ("pcm", "lpcm"):
             if self.engine.decision_level > 0:
                 # vivification needs level 0: defer; deferred firings coalesce
                 self.reduce_pending = True
@@ -186,7 +169,7 @@ class Strategy:
                 self.reduce_pending = True
                 return
             out = self._vivify(c)
-            if (self.mode.kind == "lpcm" and out is not None and out.success
+            if (self.mode == "lpcm" and out is not None and out.success
                     and c.link is not None):
                 self.pool.publish(c.link, out.new_lits)
                 eng.stats.improvements_published += 1
@@ -194,7 +177,7 @@ class Strategy:
                     eng.recorder(("publish", eng.worker_id, out.new_lits))
             if eng._terminal is not None:
                 return
-        if self.mode.kind == "lpcm":
+        if self.mode == "lpcm":
             self._adopt_improvements()
             if eng._terminal is not None:
                 return

@@ -22,7 +22,7 @@ from vivipar.formula import Clause, evaluate, to_dimacs
 from vivipar.harness import cli_main, gen_random_3sat
 from vivipar.oracle import brute_force, implied
 from vivipar.portfolio import PortfolioConfig, run
-from vivipar.strategy import LPCM, Strategy, mode_from_label
+from vivipar.strategy import Strategy
 
 from conftest import mk_formula, of_kind, restart_schedule
 
@@ -51,8 +51,8 @@ TINY_RESTARTS = (8, 10)
 TINY_PCM_KNOBS = dict(TINY_KNOBS, reduce_first=10, reduce_inc=5)
 
 
-def tiny_knobs(mode):
-    return TINY_PCM_KNOBS if mode.kind in ("pcm", "lpcm") else TINY_KNOBS
+def tiny_knobs(label):
+    return TINY_PCM_KNOBS if label in ("pcm", "lpcm") else TINY_KNOBS
 
 
 def corpus_formula(seed):
@@ -93,11 +93,10 @@ def _solve_against_oracle(seed):
     shared = {}
     vivified = {}
     for label in MODE_LABELS:
-        mode = mode_from_label(label)
         for workers, quantum in ((1, 64), (4, 4)):
             res = run(f, PortfolioConfig(
-                num_workers=workers, lcm=mode, seed=seed,
-                deterministic=True, **{**tiny_knobs(mode), "quantum": quantum}))
+                num_workers=workers, lcm=label, seed=seed,
+                deterministic=True, **{**tiny_knobs(label), "quantum": quantum}))
             if res.status != want:
                 mismatches.append((seed, label, workers, res.status, want))
             if res.status == SAT:
@@ -160,13 +159,12 @@ def _instrumented_run(args):
     seed, label = args
     f = corpus_formula(seed)
     log = []
-    mode = mode_from_label(label)
     # two workers, since a worker exports only when another exists to
     # import; turns of 8 conflicts let worker 1 run in about 30 % of these
     # runs (with turns of 64, worker 0 solves every instance alone)
-    run(f, PortfolioConfig(num_workers=2, lcm=mode, seed=seed,
+    run(f, PortfolioConfig(num_workers=2, lcm=label, seed=seed,
                            deterministic=True, recorder=log.append,
-                           **{**tiny_knobs(mode), "quantum": 8}))
+                           **{**tiny_knobs(label), "quantum": 8}))
     replacements = unsound = 0
     for _, _, old, new in of_kind(log, "replace"):
         replacements += 1
@@ -175,7 +173,8 @@ def _instrumented_run(args):
             unsound += 1
 
     ecm_exports = early_exports = withheld_removed = 0
-    if mode.kind == "ecm":
+    if label.startswith("ecm"):
+        max_lbd = int(label[3:])
         # clauses are keyed (worker, cid): each worker counts its own cids
         learn_lbd = {e[1:3]: e[3] for e in of_kind(log, "learn")}
         pending = set()
@@ -187,12 +186,12 @@ def _instrumented_run(args):
             elif e[0] == "export":
                 _, worker, cid, _, _, attempted = e
                 ecm_exports += 1
-                if (learn_lbd.get((worker, cid), 99) < mode.ecm_max_lbd + 1
+                if (learn_lbd.get((worker, cid), 99) < max_lbd + 1
                         and not attempted):
                     early_exports += 1
             elif e[0] == "reduce_remove" and e[1:3] in pending:
                 withheld_removed += 1
-    published_under_pcm = len(of_kind(log, "publish")) if mode.kind == "pcm" else 0
+    published_under_pcm = len(of_kind(log, "publish")) if label == "pcm" else 0
     return (replacements, unsound, early_exports, withheld_removed,
             published_under_pcm, ecm_exports, label)
 
@@ -251,9 +250,9 @@ def test_criterion_5_lpcm_protocol_directed(capsys):
     pool = SharedPool(2)
     shared = [[-1, 2]]
     eng_a = Engine(mk_formula(3, shared), EngineConfig(), worker_id=0)
-    strat_a = Strategy(LPCM, eng_a, pool)
+    strat_a = Strategy("lpcm", eng_a, pool)
     eng_b = Engine(mk_formula(3, shared), EngineConfig(), worker_id=1)
-    strat_b = Strategy(LPCM, eng_b, pool)
+    strat_b = Strategy("lpcm", eng_b, pool)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -352,7 +351,7 @@ def test_criterion_6_deterministic_csv_identical(tmp_path, capsys):
 def _medium_run(args):
     seed, label = args
     f = medium_formula(seed)
-    res = run(f, PortfolioConfig(num_workers=1, lcm=mode_from_label(label),
+    res = run(f, PortfolioConfig(num_workers=1, lcm=label,
                                  seed=seed, deterministic=True,
                                  conflict_limit=8000))
     s = res.aggregate()
@@ -403,7 +402,7 @@ def test_criterion_8_pcm_overhead_analog(medium_metrics, capsys):
 def _smoke_run(args):
     seed, label = args
     f = smoke_formula(seed)
-    res = run(f, PortfolioConfig(num_workers=4, lcm=mode_from_label(label),
+    res = run(f, PortfolioConfig(num_workers=4, lcm=label,
                                  seed=seed, time_limit=60.0))
     return seed, label, res.status
 

@@ -8,7 +8,7 @@ from vivipar.exchange import SharedClause, SharedPool
 from vivipar.formula import Clause, Formula
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import brute_force, entails, implied, models
-from vivipar.strategy import NONE, Strategy
+from vivipar.strategy import Strategy
 
 from conftest import (WATCH_VISITS, mk_formula, of_kind, php, visit_and_check,
                       watch_visit_engine)
@@ -88,7 +88,7 @@ def test_learned_clauses_implied_by_formula(engine_checks):
         f = gen_random_3sat(20, 85, seed)
         log = []
         eng = Engine(f, EngineConfig(), recorder=log.append)
-        Strategy(NONE, eng, SharedPool(1))
+        Strategy("none", eng, SharedPool(1))
         eng.step(conflict_limit=150)
         learns = of_kind(log, "learn")
         words = models(f.num_vars, f.clauses)  # F |= C iff no model falsifies C
@@ -187,7 +187,7 @@ def test_minimized_clause_still_implied(engine_checks):
         f = gen_random_3sat(16, 68, seed + 500)
         log = []
         eng = Engine(f, EngineConfig(), recorder=log.append)
-        Strategy(NONE, eng, SharedPool(1))
+        Strategy("none", eng, SharedPool(1))
         eng.step(conflict_limit=100)
         for _, _, _, _, lits in of_kind(log, "learn"):
             assert implied(f.num_vars, f.clauses, lits)
@@ -404,7 +404,7 @@ def test_import_watches_unassigned_literals(lbd):
     # it claims
     pool = SharedPool(2)
     eng = Engine(mk_formula(3, [[-1]]), EngineConfig(), worker_id=1)
-    strat = Strategy(NONE, eng, pool)
+    strat = Strategy("none", eng, pool)
     assert eng.propagate() is None
     pool.broadcast(SharedClause((1, 2, 3), lbd, 0))
     strat.on_level_zero()

@@ -9,7 +9,6 @@ from vivipar.exchange import (EXPORT_MAX_LBD, EXPORT_MAX_LEN, DoublePublish,
                               SharedClause, SharedPool, export)
 from vivipar.formula import Clause
 from vivipar.stats import Stats
-from vivipar.strategy import LPCM, PCM
 
 
 def mk_clause(lits, lbd, attempted=False):
@@ -20,32 +19,32 @@ def mk_clause(lits, lbd, attempted=False):
 
 def test_filter_passes_lbd_within_bound():
     pool = SharedPool(2)
-    assert export(pool, 0, mk_clause([1, 2, 3], lbd=3), PCM)
+    assert export(pool, 0, mk_clause([1, 2, 3], lbd=3), "pcm")
     c = mk_clause([1, 2, 3, 4, 5], lbd=EXPORT_MAX_LBD)
-    assert export(pool, 0, c, PCM)  # the bound is inclusive
+    assert export(pool, 0, c, "pcm")  # the bound is inclusive
     assert pool.pending(1) == 2
 
 
 def test_filter_rejects_high_lbd(monkeypatch):
     pool = SharedPool(2)
     c = mk_clause([1, 2, 3, 4, 5], lbd=EXPORT_MAX_LBD + 1)
-    assert not export(pool, 0, c, PCM)
+    assert not export(pool, 0, c, "pcm")
     # an override LBD (the ECM flush's) is filtered too
     c = mk_clause([1, 2, 3], lbd=2)
-    assert not export(pool, 0, c, PCM, lbd=EXPORT_MAX_LBD + 1)
+    assert not export(pool, 0, c, "pcm", lbd=EXPORT_MAX_LBD + 1)
     assert pool.pending(1) == 0
     monkeypatch.setattr(exchange, "EXPORT_MAX_LBD", 1)  # read at each call
-    assert not export(pool, 0, mk_clause([1, 2, 3], lbd=2), PCM)
-    assert export(pool, 0, mk_clause([1, 2, 3], lbd=1), PCM)
+    assert not export(pool, 0, mk_clause([1, 2, 3], lbd=2), "pcm")
+    assert export(pool, 0, mk_clause([1, 2, 3], lbd=1), "pcm")
     assert pool.pending(1) == 1
 
 
 def test_filter_rejects_long_clause():
     pool = SharedPool(2)
     c = mk_clause(list(range(1, 40)), lbd=2)
-    assert not export(pool, 0, c, PCM)
+    assert not export(pool, 0, c, "pcm")
     c = mk_clause(list(range(1, EXPORT_MAX_LEN + 1)), lbd=2)
-    assert export(pool, 0, c, PCM)  # the bound is inclusive
+    assert export(pool, 0, c, "pcm")  # the bound is inclusive
 
 
 def test_one_worker_pool_exports_nothing():
@@ -53,7 +52,7 @@ def test_one_worker_pool_exports_nothing():
     pool = SharedPool(1)
     c = mk_clause([1, 2, 3], lbd=2)
     stats, log = Stats(), []
-    assert not export(pool, 0, c, LPCM, stats=stats, recorder=log.append)
+    assert not export(pool, 0, c, "lpcm", stats=stats, recorder=log.append)
     assert pool.pending(0) == 0
     assert c.link is None
     assert stats.clauses_exported == 0 and log == []
@@ -62,13 +61,13 @@ def test_one_worker_pool_exports_nothing():
 def test_lpcm_attaches_link_pcm_does_not():
     pool = SharedPool(2)
     c = mk_clause([1, 2, 3], lbd=2)
-    export(pool, 0, c, LPCM)
+    export(pool, 0, c, "lpcm")
     rec = pool.drain(1)[0]
     assert rec.cid == c.cid
     assert c.link == (rec.origin, rec.cid) == (0, 1)
 
     c2 = mk_clause([1, 2, 3], lbd=2)
-    export(pool, 0, c2, PCM)
+    export(pool, 0, c2, "pcm")
     rec2 = pool.drain(1)[0]
     assert rec2.cid is None and c2.link is None
 
@@ -76,7 +75,7 @@ def test_lpcm_attaches_link_pcm_does_not():
 def test_lpcm_no_link_when_already_vivified():
     pool = SharedPool(2)
     c = mk_clause([1, 2, 3], lbd=2, attempted=True)
-    export(pool, 0, c, LPCM)
+    export(pool, 0, c, "lpcm")
     assert pool.drain(1)[0].cid is None
     assert c.link is None
 
@@ -88,8 +87,8 @@ def test_import_empty_buffer():
 
 def test_import_fifo_and_no_self_import():
     pool = SharedPool(3)
-    export(pool, 0, mk_clause([1, 2], lbd=1), PCM)
-    export(pool, 0, mk_clause([3, 4], lbd=1), PCM)
+    export(pool, 0, mk_clause([1, 2], lbd=1), "pcm")
+    export(pool, 0, mk_clause([3, 4], lbd=1), "pcm")
     got = pool.drain(1)
     assert [r.lits for r in got] == [(1, 2), (3, 4)]
     assert all(r.origin == 0 for r in got)
@@ -100,7 +99,7 @@ def test_import_fifo_and_no_self_import():
 def test_import_records_byte_identical():
     pool = SharedPool(3)
     c = mk_clause([5, -7, 2], lbd=3)
-    export(pool, 0, c, PCM)
+    export(pool, 0, c, "pcm")
     r1 = pool.drain(1)[0]
     r2 = pool.drain(2)[0]
     assert r1.lits == tuple(c.lits) and r1.lbd == c.lbd

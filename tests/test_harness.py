@@ -257,9 +257,10 @@ def test_cli_lcm_takes_the_mode_label(sat_file, tmp_path, capsys, label):
 
 
 @pytest.mark.parametrize("label, message", [
-    ("ecm0", "ecm_max_lbd must be >= 1"),
+    ("ecm0", "unknown lcm mode 'ecm0'"),
     ("foo", "unknown lcm mode 'foo'"),
-], ids=["ecm0", "foo"])
+    ("ecm\u0663", "unknown lcm mode 'ecm\u0663'"),  # an Arabic-Indic 3
+], ids=["ecm0", "foo", "ecm-arabic-indic-3"])
 def test_cli_bad_lcm_label_exit_1(sat_file, capsys, label, message):
     path, _ = sat_file
     assert cli_main([path, "--lcm", label]) == 1

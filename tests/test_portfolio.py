@@ -14,7 +14,6 @@ from vivipar.oracle import brute_force
 from vivipar.stats import Stats
 from vivipar.portfolio import (ConfigError, PortfolioConfig, WorkerFault,
                                _build_worker, diversify, run)
-from vivipar.strategy import LPCM, NONE, PCM, ecm
 
 from conftest import mk_formula, php, restart_schedule
 
@@ -29,8 +28,8 @@ def test_single_worker_deterministic_unsat():
 
 
 @pytest.mark.parametrize("mode, conflicts, propagations", [
-    (NONE, 146, 1747), (PCM, 145, 2083), (LPCM, 145, 2083),
-    (ecm(3), 139, 2388), (ecm(4), 144, 2604)],
+    ("none", 146, 1747), ("pcm", 145, 2083), ("lpcm", 145, 2083),
+    ("ecm3", 139, 2388), ("ecm4", 144, 2604)],
     ids=["none", "pcm", "lpcm", "ecm3", "ecm4"])
 def test_single_worker_exports_and_publishes_nothing(mode, conflicts, propagations):
     # no other worker would receive an export, so none is counted or
@@ -50,7 +49,7 @@ def test_single_worker_exports_and_publishes_nothing(mode, conflicts, propagatio
 def test_four_workers_sat_model_verified():
     f = gen_random_3sat(25, 95, seed=5)
     assert brute_force(f)[0] == "SAT"
-    res = run(f, PortfolioConfig(num_workers=4, lcm=PCM, time_limit=30))
+    res = run(f, PortfolioConfig(num_workers=4, lcm="pcm", time_limit=30))
     assert res.status == SAT
     assert evaluate(f, res.model)
     assert res.winner in range(4)
@@ -60,7 +59,7 @@ def test_four_workers_sat_model_verified():
 def test_deterministic_reruns_identical(monkeypatch):
     restart_schedule(monkeypatch.setattr, window=8, unit=10)
     f = gen_random_3sat(20, 85, seed=9)
-    cfg = dict(num_workers=4, lcm=ecm(3), seed=7, deterministic=True,
+    cfg = dict(num_workers=4, lcm="ecm3", seed=7, deterministic=True,
                reduce_first=20, reduce_inc=10)
     r1 = run(f, PortfolioConfig(**cfg))
     r2 = run(f, PortfolioConfig(**cfg))
@@ -75,7 +74,7 @@ def test_nondeterministic_reruns_identical():
     # reported wall time differs between reruns
     def solve():
         log = []
-        res = run(php(7, 6), PortfolioConfig(num_workers=2, lcm=PCM, seed=3,
+        res = run(php(7, 6), PortfolioConfig(num_workers=2, lcm="pcm", seed=3,
                                              reduce_first=100, quantum=64,
                                              recorder=log.append))
         return res, log
@@ -115,14 +114,13 @@ def test_diversify_is_deterministic():
 
 def test_homogeneous_lcm_across_workers():
     f = gen_random_3sat(12, 50, seed=0)
-    cfg = PortfolioConfig(num_workers=4, lcm=LPCM)
+    cfg = PortfolioConfig(num_workers=4, lcm="lpcm")
     pool = SharedPool(4)
     engines = [_build_worker(i, f, cfg, pool, Stats()) for i in range(4)]
-    assert all(eng.hooks.mode == LPCM for eng in engines)
+    assert all(eng.hooks.mode == "lpcm" for eng in engines)
 
 
 def test_config_errors():
-    from vivipar.strategy import LcmMode
     f = mk_formula(1, [[1]])
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(num_workers=0))
@@ -132,18 +130,14 @@ def test_config_errors():
         run(f, PortfolioConfig(time_limit=float("nan")))
     with pytest.raises(ConfigError):
         run(f, PortfolioConfig(quantum=0))
-    with pytest.raises(ConfigError):
-        run(f, PortfolioConfig(lcm=LcmMode("ecm", 0)))
-    with pytest.raises(ConfigError):
-        run(f, PortfolioConfig(lcm=LcmMode("pcm", 0)))
-    with pytest.raises(ConfigError, match="unknown lcm kind 'pcmm'"):
-        run(f, PortfolioConfig(lcm=LcmMode("pcmm")))
+    # the mode is a canonical label: "ecm" is the CLI's spelling of "ecm3"
+    for bad in ("ecm0", "pcmm", "ecm", None):
+        with pytest.raises(ConfigError, match=f"not {bad!r}$"):
+            run(f, PortfolioConfig(lcm=bad))
     # schedules that hung (no reduction gap)
     for bad in (dict(reduce_first=0, reduce_inc=0), dict(reduce_inc=-1)):
         with pytest.raises(ConfigError):
             run(f, PortfolioConfig(deterministic=True, **bad))
-    with pytest.raises(ValueError):
-        ecm(0)
 
 
 def test_config_surface():
@@ -167,6 +161,9 @@ def test_config_surface():
         assert getattr(vivipar, name) is not None, name
     assert "ExportFilter" not in vivipar.__all__
     assert "CandidatePolicy" not in vivipar.__all__
+    # a mode is its label: no mode type or mode constants
+    for gone in ("LcmMode", "KINDS", "NONE", "PCM", "LPCM", "ecm"):
+        assert gone not in vivipar.__all__ and not hasattr(vivipar.strategy, gone)
     assert not hasattr(vivipar.exchange, "ExportFilter")
     assert not hasattr(vivipar.vivify, "CandidatePolicy")
 
@@ -176,12 +173,12 @@ def test_agreement_across_modes_and_worker_counts(monkeypatch):
     for seed in range(8):
         f = gen_random_3sat(16, 68, seed + 77)
         want = brute_force(f)[0]
-        for mode in (NONE, PCM, LPCM, ecm(3), ecm(4)):
+        for mode in ("none", "pcm", "lpcm", "ecm3", "ecm4"):
             for workers in (1, 4):
                 res = run(f, PortfolioConfig(
                     num_workers=workers, lcm=mode, deterministic=True,
                     reduce_first=15, reduce_inc=10, quantum=11))
-                assert res.status == want, (seed, mode.label, workers)
+                assert res.status == want, (seed, mode, workers)
 
 
 def test_budget_exhaustion_returns_unknown():
@@ -218,7 +215,7 @@ def test_overflow_counts_surface_in_stats(monkeypatch):
     restart_schedule(monkeypatch.setattr, window=6)
     monkeypatch.setattr(vivipar.exchange, "MAX_PENDING", 4)
     f = gen_random_3sat(24, 102, seed=3)
-    cfg = PortfolioConfig(num_workers=2, lcm=NONE, deterministic=True,
+    cfg = PortfolioConfig(num_workers=2, lcm="none", deterministic=True,
                           reduce_first=20, quantum=64)
     from vivipar import portfolio as pf
     pool = SharedPool(2)
@@ -313,7 +310,7 @@ def test_finished_run_freed_by_reference_counting(deterministic):
     gc.collect()
     gc.disable()
     try:
-        run(php(6, 5), PortfolioConfig(num_workers=2, lcm=PCM, reduce_first=30,
+        run(php(6, 5), PortfolioConfig(num_workers=2, lcm="pcm", reduce_first=30,
                                        deterministic=deterministic))
         assert gc.collect() == 0
     finally:

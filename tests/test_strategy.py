@@ -5,7 +5,7 @@ from vivipar.cdcl import Engine, EngineConfig, SAT, UNKNOWN, UNSAT
 from vivipar.exchange import SharedClause, SharedPool
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
-from vivipar.strategy import LPCM, NONE, PCM, Strategy, ecm, mode_from_label
+from vivipar.strategy import Strategy, mode_from_label
 
 from conftest import mk_formula, of_kind, php, restart_schedule
 
@@ -30,21 +30,38 @@ def learn_clause(eng, lits, lbd):
     return c
 
 
+# label -> the mode it names (a canonical label), or None if it names none
+MODE_LABELS = [
+    ("none", "none"), ("pcm", "pcm"), ("lpcm", "lpcm"), ("ecm3", "ecm3"),
+    ("ecm4", "ecm4"), ("ecm1", "ecm1"), ("ecm10", "ecm10"),
+    ("ecm", "ecm3"),  # plain ecm, the one label that is not its own mode
+    # a typo, a sign, the wrong case, a bound below 1, a leading zero, and
+    # non-ASCII digits (Arabic-Indic 3, fullwidth 0)
+    ("ecmx", None), ("ecm-1", None), ("PCM", None), ("ecm0", None),
+    ("ecm04", None), ("ecm\u0663", None), ("ecm\uff10", None),
+]
+
+
 def test_mode_labels():
-    assert NONE.label == "none" and PCM.label == "pcm" and LPCM.label == "lpcm"
-    assert ecm(3).label == "ecm3" and ecm(4).label == "ecm4"
-    assert mode_from_label("ecm4") == ecm(4)
-    assert mode_from_label("pcm") == PCM
-    assert mode_from_label("ecm") == ecm(3)
-    for bad in ("ecmx", "ecm-1", "PCM"):
-        with pytest.raises(ValueError, match=f"unknown lcm mode '{bad}'"):
-            mode_from_label(bad)
+    for label, mode in MODE_LABELS:
+        if mode is None:
+            with pytest.raises(ValueError, match=f"unknown lcm mode '{label}'"):
+                mode_from_label(label)
+        else:
+            assert mode_from_label(label) == mode, label
+
+
+def test_ecm_bound_is_read_from_the_label():
+    for label, bound in [("none", 0), ("pcm", 0), ("lpcm", 0), ("ecm1", 1),
+                         ("ecm3", 3), ("ecm10", 10)]:
+        pool, eng, strat = wire(label)
+        assert strat.ecm_max_lbd == bound, label
 
 
 # ---------------------------------------------------------------- on_learn
 
 def test_ecm3_withholds_low_lbd():
-    pool, eng, strat = wire(ecm(3))
+    pool, eng, strat = wire("ecm3")
     c = learn_clause(eng, [1, 2, 3], lbd=3)
     strat.on_learn(c)
     assert c.protected
@@ -53,7 +70,7 @@ def test_ecm3_withholds_low_lbd():
 
 
 def test_ecm3_exports_lbd_at_threshold():
-    pool, eng, strat = wire(ecm(3))
+    pool, eng, strat = wire("ecm3")
     c = learn_clause(eng, [1, 2, 3, 4], lbd=4)
     strat.on_learn(c)
     assert not c.protected
@@ -61,7 +78,7 @@ def test_ecm3_exports_lbd_at_threshold():
 
 
 def test_pcm_exports_immediately_without_link():
-    pool, eng, strat = wire(PCM)
+    pool, eng, strat = wire("pcm")
     c = learn_clause(eng, [1, 2, 3], lbd=3)
     strat.on_learn(c)
     rec = pool.drain(1)[0]
@@ -70,7 +87,7 @@ def test_pcm_exports_immediately_without_link():
 
 
 def test_export_filter_reads_the_module_bound(monkeypatch):
-    pool, eng, strat = wire(PCM)
+    pool, eng, strat = wire("pcm")
     high = exchange.EXPORT_MAX_LBD + 1
     strat.on_learn(learn_clause(eng, [1, 2, 3, 4, 5], lbd=high))
     assert pool.pending(1) == 0
@@ -80,7 +97,7 @@ def test_export_filter_reads_the_module_bound(monkeypatch):
 
 
 def test_unit_lemma_is_exported_even_under_ecm():
-    pool, eng, strat = wire(ecm(3))
+    pool, eng, strat = wire("ecm3")
     c = learn_clause(eng, [5], lbd=1)
     strat.on_learn(c)
     assert c.vivify_attempted  # vacuously minimized
@@ -92,7 +109,7 @@ def test_unit_lemma_is_exported_even_under_ecm():
 
 def test_ecm_flush_vivifies_and_exports_all():
     log = []
-    pool, eng, strat = wire(ecm(3), num_vars=20, log=log.append)
+    pool, eng, strat = wire("ecm3", num_vars=20, log=log.append)
     for i in range(5):
         base = 3 * i + 1
         c = learn_clause(eng, [base, base + 1, base + 2], lbd=2)
@@ -110,7 +127,7 @@ def test_ecm_flush_vivifies_and_exports_all():
 def test_ecm_flush_shortened_to_unit_enqueues_and_exports():
     # F forces a under -a: the withheld clause (a, c) collapses to (a)
     log = []
-    pool, eng, strat = wire(ecm(3), f_clauses=[[1, 2], [1, -2]], num_vars=3,
+    pool, eng, strat = wire("ecm3", f_clauses=[[1, 2], [1, -2]], num_vars=3,
                             log=log.append)
     c = learn_clause(eng, [1, 3], lbd=2)
     strat.on_learn(c)
@@ -123,7 +140,7 @@ def test_ecm_flush_shortened_to_unit_enqueues_and_exports():
 
 
 def test_ecm_flush_drops_satisfied_without_export():
-    pool, eng, strat = wire(ecm(3), f_clauses=[[4]], num_vars=8)
+    pool, eng, strat = wire("ecm3", f_clauses=[[4]], num_vars=8)
     c = learn_clause(eng, [4, 5, 6], lbd=2)
     strat.on_learn(c)
     assert c.protected
@@ -134,7 +151,7 @@ def test_ecm_flush_drops_satisfied_without_export():
 
 
 def test_pcm_restart_without_pending_reduce_is_noop():
-    pool, eng, strat = wire(PCM, num_vars=10)
+    pool, eng, strat = wire("pcm", num_vars=10)
     learn_clause(eng, [1, 2, 3], lbd=2)
     strat.on_restart()
     assert eng.stats.vivify_attempts == 0
@@ -144,7 +161,7 @@ def test_pcm_restart_without_pending_reduce_is_noop():
 # ---------------------------------------------------------------- before_reduce
 
 def test_before_reduce_defers_above_level_zero():
-    pool, eng, strat = wire(PCM, f_clauses=[[1, 2, 3]], num_vars=10)
+    pool, eng, strat = wire("pcm", f_clauses=[[1, 2, 3]], num_vars=10)
     eng.assume(-1)
     eng.propagate()
     eng.assume(-4)
@@ -155,7 +172,7 @@ def test_before_reduce_defers_above_level_zero():
 
 
 def test_deferred_reductions_coalesce():
-    pool, eng, strat = wire(PCM, num_vars=10)
+    pool, eng, strat = wire("pcm", num_vars=10)
     for i in range(6):
         learn_clause(eng, [i + 1, i + 2, i + 3], lbd=2)
     eng.assume(-1)
@@ -169,7 +186,7 @@ def test_deferred_reductions_coalesce():
 
 
 def test_none_mode_reduces_without_vivification():
-    pool, eng, strat = wire(NONE, num_vars=30)
+    pool, eng, strat = wire("none", num_vars=30)
     for i in range(8):
         learn_clause(eng, [3 * i + 1, 3 * i + 2, 3 * i + 3], lbd=4)
     eng.assume(-1)  # none mode does not defer to level 0
@@ -180,7 +197,7 @@ def test_none_mode_reduces_without_vivification():
 
 
 def test_pcm_reduce_at_level_zero_runs_vivify_pass():
-    pool, eng, strat = wire(PCM, num_vars=30)
+    pool, eng, strat = wire("pcm", num_vars=30)
     for i in range(8):
         learn_clause(eng, [3 * i + 1, 3 * i + 2, 3 * i + 3], lbd=2)
     strat.before_reduce()
@@ -192,7 +209,7 @@ def test_pcm_reduce_at_level_zero_runs_vivify_pass():
 
 def test_refuting_import_ends_the_drain_and_skips_the_pending_pass():
     # -1 and -2 hold at level 0, so the import (1 2) is false as it arrives
-    pool, eng, strat = wire(PCM, f_clauses=[[-1], [-2]], num_vars=30)
+    pool, eng, strat = wire("pcm", f_clauses=[[-1], [-2]], num_vars=30)
     for i in range(8):
         learn_clause(eng, [3 * i + 3, 3 * i + 4, 3 * i + 5], lbd=2)
     eng.assume(3)
@@ -209,7 +226,7 @@ def test_refuting_import_ends_the_drain_and_skips_the_pending_pass():
 
 
 def test_import_is_admitted_before_the_pending_pass():
-    pool, eng, strat = wire(PCM, num_vars=30)
+    pool, eng, strat = wire("pcm", num_vars=30)
     for i in range(8):
         learn_clause(eng, [3 * i + 1, 3 * i + 2, 3 * i + 3], lbd=2)
     eng.assume(-1)
@@ -234,10 +251,10 @@ def test_lpcm_publish_and_importer_adoption():
     shared = [[-1, 2]]  # under -b, a is forced false: (b,c,a) -> (b,c)
     eng_a = Engine(mk_formula(3, shared), EngineConfig(), worker_id=0,
                    recorder=log.append)
-    a = Strategy(LPCM, eng_a, pool)
+    a = Strategy("lpcm", eng_a, pool)
     eng_b = Engine(mk_formula(3, shared), EngineConfig(), worker_id=1,
                    recorder=log.append)
-    b = Strategy(LPCM, eng_b, pool)
+    b = Strategy("lpcm", eng_b, pool)
     eng_a.propagate()
     eng_b.propagate()
 
@@ -280,7 +297,7 @@ def test_deadline_interrupts_a_vivification_pass(label, monkeypatch):
     monkeypatch.setattr(cdcl.time, "monotonic",
                         lambda: 2.0 if probed else 0.0)
     eng = Engine(php(8, 7), EngineConfig(reduce_first=100), recorder=recorder)
-    strat = Strategy(mode_from_label(label), eng, SharedPool(1))
+    strat = Strategy(label, eng, SharedPool(1))
     assert eng.step(deadline=1.0) == UNKNOWN
     assert len(of_kind(log, "vivify")) == eng.stats.vivify_attempts == 1
     if label == "pcm":
@@ -298,7 +315,7 @@ def test_pcm_isolation_no_links_ever(monkeypatch):
         pool = SharedPool(2)
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5),
                      worker_id=0, recorder=log.append)
-        Strategy(PCM, eng, pool)
+        Strategy("pcm", eng, pool)
         eng.step(conflict_limit=300)
         for rec in pool.drain(1):
             assert rec.cid is None
@@ -306,7 +323,7 @@ def test_pcm_isolation_no_links_ever(monkeypatch):
 
 
 def test_adoption_skips_identical_publication():
-    pool, eng, strat = wire(LPCM, num_vars=6)
+    pool, eng, strat = wire("lpcm", num_vars=6)
     c = learn_clause(eng, [1, 2, 3], lbd=2)
     c.imported = True
     c.link = (1, 5)  # worker 1's clause 5
@@ -335,7 +352,7 @@ def test_none_mode_matches_bare_engine_traces(monkeypatch):
         wired_events = []
         wired = Engine(f, EngineConfig(**cfg), worker_id=0,
                        recorder=wired_events.append)
-        Strategy(NONE, wired, pool)
+        Strategy("none", wired, pool)
         status_wired = wired.step()
 
         assert status_bare == status_wired

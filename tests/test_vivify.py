@@ -6,7 +6,7 @@ from vivipar.exchange import SharedPool
 from vivipar.formula import Clause
 from vivipar.harness import gen_random_3sat
 from vivipar.oracle import implied
-from vivipar.strategy import PCM, Strategy
+from vivipar.strategy import Strategy
 from vivipar.vivify import (CONFLICT_REPLACED, SHORTENED, UNCHANGED,
                             VivifyOutcome, apply_outcome, satisfied_at_root,
                             select_candidates, vivify_clause)
@@ -284,7 +284,7 @@ def test_strict_progress_and_soundness_random(monkeypatch):
         log = []
         eng = Engine(f, EngineConfig(reduce_first=10, reduce_inc=5),
                      recorder=log.append)
-        Strategy(PCM, eng, SharedPool(1))
+        Strategy("pcm", eng, SharedPool(1))
         eng.step(conflict_limit=400)
         for _, _, old, new in of_kind(log, "replace"):
             total += 1
