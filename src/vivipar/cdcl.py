@@ -121,10 +121,6 @@ class Engine:
         self._terminal = None
         self._deadline = None  # of the running step()
 
-        # the clause a vivification probe is testing, off its watch lists
-        # until `undo_probe_moves` (None outside probes)
-        self._probing = None
-
         if formula.contains_empty:
             self._terminal = UNSAT
         watches = self.watches
@@ -169,8 +165,9 @@ class Engine:
         ok = self._enqueue(lit, None)
         assert ok, "assumed an already-falsified literal"
 
-    def backtrack(self, blevel):
-        """Undo all assignments above ``blevel``."""
+    def backtrack(self, blevel, save_phase=True):
+        """Undo all assignments above ``blevel``.  ``save_phase=False``
+        keeps the saved phases, so vivification probes leave them untouched."""
         if self.decision_level <= blevel:
             return
         n = self.num_vars
@@ -179,7 +176,6 @@ class Engine:
         saved_phase = self.saved_phase
         trail = self.trail
         mark = self.trail_lim[blevel]
-        save_phase = self._probing is None
         # each variable appears once on the trail, so the order is free
         for lit in trail[mark:]:
             v = lit if lit > 0 else -lit
@@ -203,11 +199,10 @@ class Engine:
         self.watches[c.lits[0] + n].remove(c)
         self.watches[c.lits[1] + n].remove(c)
 
-    def undo_probe_moves(self):
+    def undo_probe_moves(self, clause):
         """End a vivification probe: put the probed clause back on the watch
         lists of its positions 0 and 1, which the probe left untouched."""
-        self._attach(self._probing)
-        self._probing = None
+        self._attach(clause)
 
     # ------------------------------------------------------------------
     # propagation
@@ -629,15 +624,15 @@ class Engine:
                     if self._terminal is not None:
                         return self._terminal
                 continue
-            if stats.conflicts >= self.next_reduce and not (
-                    self.hooks is not None and self.hooks.reduce_pending):
+            if stats.conflicts >= self.next_reduce:
+                # hooks that defer the reduction hear of it again before
+                # each decision, until they reduce
                 if self.hooks is not None:
                     self.hooks.before_reduce()
                     if self._terminal is not None:
                         return self._terminal
                 else:
                     self.reduce_db()
-                continue
             if self.interrupted() or (conflict_limit is not None
                                       and stats.conflicts >= conflict_limit):
                 return UNKNOWN

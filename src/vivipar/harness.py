@@ -108,38 +108,23 @@ def cli_main(argv=None):
 
     try:
         formula = parse_dimacs_file(args.file)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    config = PortfolioConfig(
-        num_workers=args.threads,
-        lcm=args.lcm,
-        seed=args.seed,
-        deterministic=args.deterministic,
-        time_limit=args.time_limit,
-        conflict_limit=args.conflict_limit,
-    )
-    try:
+        config = PortfolioConfig(
+            num_workers=args.threads,
+            lcm=args.lcm,
+            seed=args.seed,
+            deterministic=args.deterministic,
+            time_limit=args.time_limit,
+            conflict_limit=args.conflict_limit,
+        )
         config.validate()
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    with contextlib.ExitStack() as stack:
         # opened before the solve: a bad path fails as bad input does,
         # not after the answer is found
-        stats_fh = None
-        if args.stats_csv:
-            try:
-                stats_fh = stack.enter_context(open(args.stats_csv, "w", newline=""))
-            except OSError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 1
+        stats_fh = open(args.stats_csv, "w", newline="") if args.stats_csv else None
+    except (ParseError, OSError, ConfigError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
+    with stats_fh or contextlib.nullcontext():
         print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
               f"mode={config.lcm}, workers={config.num_workers}"
               f"{', deterministic' if config.deterministic else ''}")

@@ -23,8 +23,9 @@ from .vivify import (apply_outcome, satisfied_at_root, select_candidates,
 
 
 # "ecmN" with N >= 1 in ASCII digits and no leading zero, so that a label
-# and its mode are inverses
-_ECM_LABEL = re.compile(r"ecm([1-9][0-9]*)")
+# and its mode are inverses; at most 9 digits, so that int() never meets
+# Python's limit on the digits of a str-to-int conversion
+_ECM_LABEL = re.compile(r"ecm([1-9][0-9]{0,8})")
 
 
 def _ecm_bound(label):
@@ -90,7 +91,8 @@ class Strategy:
             self._vivify_and_reduce()
 
     def before_reduce(self):
-        """The reduction schedule fired."""
+        """The reduction schedule is due; the engine calls this again
+        before each decision until the database is reduced."""
         if self.mode in ("pcm", "lpcm"):
             if self.engine.decision_level > 0:
                 # vivification needs level 0: defer; deferred firings coalesce

@@ -14,7 +14,9 @@ clause would otherwise imply its own last literal.  It leaves the assignment,
 the heuristics (activities, phases) and every clause's literal set as it
 found them, and changes only the counters and the clause's attempted flag.
 The order of the watch lists and of the literals inside clauses may change,
-as after any backtrack.
+as after any backtrack.  The engine holds no probe state: the probe passes
+the clause and the flags that spare the heuristics (``bump=False``,
+``save_phase=False``) to each engine call.
 """
 
 from __future__ import annotations
@@ -81,53 +83,39 @@ def vivify_clause(engine, clause):
     clause.vivify_attempted = True
 
     engine._detach(clause)
-    engine._probing = clause
     start = stats.propagations_total
 
-    lits = list(clause.lits)
-    prefix = []
-    result = None
+    lits = clause.lits
+    kept = []  # the assumed literals, then at most one found true
+    learnt = None
+    lbd = len(lits)  # a shortening has no conflict-analysis LBD
     for l in lits:
         val = engine.value(l)
-        if val == 1:
-            # propagated true: everything not yet processed is redundant
-            kept = prefix + [l]
-            if len(kept) < len(lits):
-                result = (SHORTENED, kept, None)
-            else:
-                result = (UNCHANGED, None, None)
-            break
         if val == -1:
             # non-decisionally false (we never assumed this literal): drop it
             continue
+        kept.append(l)
+        if val == 1:
+            # propagated true: everything not yet processed is redundant
+            break
         engine.assume(-l)
         confl = engine.propagate()
         if confl is not None:
             learnt, _blevel, lbd = engine.analyze_conflict(confl, bump=False)
-            if len(learnt) < len(lits):
-                result = (CONFLICT_REPLACED, learnt, lbd)
-            else:
-                result = (UNCHANGED, None, None)
             break
-        prefix.append(l)
 
-    engine.backtrack(0)
-    engine.undo_probe_moves()
+    engine.backtrack(0, save_phase=False)
+    engine.undo_probe_moves(clause)
     stats.propagations_vivify += stats.propagations_total - start
 
-    if result is None:
-        if len(prefix) < len(lits):
-            result = (SHORTENED, prefix, None)
-        else:
-            result = (UNCHANGED, None, None)
-    kind, new, lbd = result
-    new_lits = tuple(new) if new is not None else None
-    if new_lits is not None:
-        assert len(new_lits) < len(lits), "vivification must strictly shorten"
+    kind, new = (SHORTENED, kept) if learnt is None else (CONFLICT_REPLACED, learnt)
+    if len(new) < len(lits):
+        new_lits = tuple(new)
         # the replacement's literals are unassigned at level 0, so the old
-        # LBD, the new length and the conflict-analysis LBD (a shortening
-        # has none) all bound it
-        lbd = max(1, min(clause.lbd, len(new_lits), lbd or len(new_lits)))
+        # LBD, the new length and the conflict-analysis LBD all bound it
+        lbd = max(1, min(clause.lbd, len(new), lbd))
+    else:
+        kind, new_lits, lbd = UNCHANGED, None, None
     if engine.recorder is not None:
         engine.recorder(("vivify", engine.worker_id, clause.cid, kind))
     return VivifyOutcome(kind, new_lits, lbd)

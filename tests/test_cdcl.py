@@ -321,6 +321,42 @@ def test_reduce_schedule_advances():
     assert eng.next_reduce == 120 + 100 + 50
 
 
+
+class ReducingHooks:
+    """The four engine hooks and nothing else: reduce when told to."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.due = []  # (conflicts, next_reduce) at each before_reduce
+        engine.hooks = self
+
+    def on_learn(self, clause):
+        pass
+
+    def on_restart(self):
+        pass
+
+    def on_level_zero(self):
+        pass
+
+    def before_reduce(self):
+        eng = self.engine
+        self.due.append((eng.stats.conflicts, eng.next_reduce))
+        eng.reduce_db()
+
+
+def test_hooks_reduce_on_schedule():
+    # the engine asks its hooks only the four hook calls, and with hooks that
+    # reduce at once it searches as a hookless engine does
+    plain = Engine(php(6, 5), EngineConfig(reduce_first=20, reduce_inc=10))
+    eng = Engine(php(6, 5), EngineConfig(reduce_first=20, reduce_inc=10))
+    hooks = ReducingHooks(eng)
+    assert plain.step() == eng.step() == UNSAT
+    assert eng.stats == plain.stats and eng.stats.reductions >= 3
+    assert len(hooks.due) == eng.stats.reductions
+    assert all(c >= due for c, due in hooks.due)
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_unsat_simple():

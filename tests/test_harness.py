@@ -260,7 +260,9 @@ def test_cli_lcm_takes_the_mode_label(sat_file, tmp_path, capsys, label):
     ("ecm0", "unknown lcm mode 'ecm0'"),
     ("foo", "unknown lcm mode 'foo'"),
     ("ecm\u0663", "unknown lcm mode 'ecm\u0663'"),  # an Arabic-Indic 3
-], ids=["ecm0", "foo", "ecm-arabic-indic-3"])
+    ("ecm1000000000", "unknown lcm mode 'ecm1000000000'"),
+    ("ecm" + "1" * 5000, f"unknown lcm mode 'ecm{'1' * 5000}'"),
+], ids=["ecm0", "foo", "ecm-arabic-indic-3", "ecm-10-digits", "ecm-5000-digits"])
 def test_cli_bad_lcm_label_exit_1(sat_file, capsys, label, message):
     path, _ = sat_file
     assert cli_main([path, "--lcm", label]) == 1

@@ -212,20 +212,18 @@ def test_time_limit_cancels_quickly():
 
 
 def test_overflow_counts_surface_in_stats(monkeypatch):
+    # worker 0 answers in its first turn after 11 exports into worker 1's
+    # buffer of 4, which worker 1 never drains: the 7 dropped records are
+    # counted for worker 1, although it never takes a turn
     restart_schedule(monkeypatch.setattr, window=6)
     monkeypatch.setattr(vivipar.exchange, "MAX_PENDING", 4)
     f = gen_random_3sat(24, 102, seed=3)
-    cfg = PortfolioConfig(num_workers=2, lcm="none", deterministic=True,
-                          reduce_first=20, quantum=64)
-    from vivipar import portfolio as pf
-    pool = SharedPool(2)
-    stats = [Stats(), Stats()]
-    st, _ = pf._run_round_robin(
-        [None, None], lambda i: _build_worker(i, f, cfg, pool, stats[i]), cfg)
-    overflowed = sum(pool.overflows)
-    total = sum(s.clauses_exported for s in stats)
-    if total > 4:
-        assert overflowed > 0
+    res = run(f, PortfolioConfig(num_workers=2, lcm="none", deterministic=True,
+                                 reduce_first=20, quantum=64))
+    assert (res.status, res.winner) == (SAT, 0)
+    w0, w1 = res.worker_stats
+    assert (w0.clauses_exported, w0.buffer_overflows) == (11, 0)
+    assert (w1.conflicts, w1.buffer_overflows) == (0, 7)
 
 
 # ---------------------------------------------------------- lazy workers

@@ -35,10 +35,13 @@ MODE_LABELS = [
     ("none", "none"), ("pcm", "pcm"), ("lpcm", "lpcm"), ("ecm3", "ecm3"),
     ("ecm4", "ecm4"), ("ecm1", "ecm1"), ("ecm10", "ecm10"),
     ("ecm", "ecm3"),  # plain ecm, the one label that is not its own mode
-    # a typo, a sign, the wrong case, a bound below 1, a leading zero, and
-    # non-ASCII digits (Arabic-Indic 3, fullwidth 0)
+    ("ecm999999999", "ecm999999999"),  # the largest bound: 9 digits
+    # a typo, a sign, the wrong case, a bound below 1, a leading zero,
+    # non-ASCII digits (Arabic-Indic 3, fullwidth 0), and bounds of 10 and
+    # of 5,000 digits
     ("ecmx", None), ("ecm-1", None), ("PCM", None), ("ecm0", None),
     ("ecm04", None), ("ecm\u0663", None), ("ecm\uff10", None),
+    ("ecm1000000000", None), ("ecm" + "1" * 5000, None),
 ]
 
 

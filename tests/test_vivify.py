@@ -123,10 +123,9 @@ def test_probe_kernel_visit(case, w):
     eng._attach(probed)
     before = fingerprint(eng)
     eng._detach(probed)
-    eng._probing = probed
     visit_and_check(eng, named, case)
-    eng.backtrack(0)
-    eng.undo_probe_moves()
+    eng.backtrack(0, save_phase=False)
+    eng.undo_probe_moves(probed)
     check_probe(eng, probed, before)
     assert probed.lits == [1, 12]
 
@@ -246,7 +245,7 @@ def test_engine_checks_catch_a_probe_that_leaves_a_trace(engine_checks,
                                                         monkeypatch):
     # a probe that never puts the probed clause back on its watch lists
     eng, c = engine_with_clause([[4, 7, 8]], 8, [4, 5, 6])
-    monkeypatch.setattr(Engine, "undo_probe_moves", lambda self: None)
+    monkeypatch.setattr(Engine, "undo_probe_moves", lambda self, clause: None)
     with pytest.raises(AssertionError, match="left a trace"):
         strategy.vivify_clause(eng, c)
 
