@@ -13,6 +13,9 @@ reps is what it takes to resolve a few percent on ``php-unsat-det``: there
 one rep is 5 operations on one instance, so a few host stalls move a 4-rep
 reading by several percent.
 
+Each side parses the corpus with its own parser; if any instance parses to
+a different formula (``num_vars`` or ``clauses``), the script prints
+``FORMULA differs for <instance>`` and exits 1 before solving anything.
 Before the timed reps, one untimed pass solves every operation on both sides
 with an event recorder attached.  Prints, per mode, each side's total of
 per-operation minimum times and their ratio new/base, then the same over all
@@ -120,6 +123,13 @@ def main(argv=None):
     instances = workload.make(args.seed, size)
     base = Side(load_checkout(args.base, "vivipar_ab_base"), instances, workload, size)
     new = Side(load_checkout(args.new, "vivipar_ab_new"), instances, workload, size)
+
+    differ = [inst.name for inst, b, n in zip(instances, base.formulas, new.formulas)
+              if (b.num_vars, b.clauses) != (n.num_vars, n.clauses)]
+    for name in differ:
+        print(f"FORMULA differs for {name}", file=sys.stderr)
+    if differ:
+        return 1
 
     bad = 0
     for i, inst in enumerate(instances):

@@ -121,22 +121,18 @@ class Engine:
         self._terminal = None
         self._deadline = None  # of the running step()
 
-        if formula.contains_empty:
-            self._terminal = UNSAT
         watches = self.watches
         originals = self.originals
         cid = 0
         for lits in formula.clauses:
-            if len(lits) == 1:
-                l = lits[0]
-                if not self._enqueue(l, None):
-                    self._terminal = UNSAT  # contradictory input units
-            else:
+            if len(lits) > 1:
                 cid += 1
                 c = Clause(lits, 1, False, False, cid)
                 originals.append(c)
                 watches[lits[0] + n].append(c)
                 watches[lits[1] + n].append(c)
+            elif not lits or not self._enqueue(lits[0], None):
+                self._terminal = UNSAT  # an empty clause or contradictory units
         self._cid = cid
 
     # ------------------------------------------------------------------

@@ -109,10 +109,11 @@ def export(pool, worker, clause, mode, lits=None, lbd=None, stats=None,
     """
     if pool.num_workers == 1:
         return False
-    lits = tuple(lits if lits is not None else clause.lits)
+    lits = lits if lits is not None else clause.lits
     lbd = lbd if lbd is not None else clause.lbd
     if lbd > EXPORT_MAX_LBD or len(lits) > EXPORT_MAX_LEN:
         return False
+    lits = tuple(lits)  # copied only once the clause is exported
     cid = None
     if mode == "lpcm" and not clause.vivify_attempted and len(lits) >= 2:
         cid = clause.cid

@@ -67,14 +67,12 @@ class Formula:
     """An immutable CNF instance.
 
     ``clauses`` holds normalized clauses (no duplicate literals, no
-    tautologies, literals sorted).  ``contains_empty`` flags an input empty
-    clause, which is never stored: it makes the formula trivially
-    unsatisfiable.
+    tautologies, literals sorted).  An input empty clause is kept as ``()``
+    and makes the formula unsatisfiable.
     """
 
     num_vars: int
     clauses: tuple = field(default_factory=tuple)
-    contains_empty: bool = False
 
     def __post_init__(self):
         lits = set(chain.from_iterable(self.clauses))
@@ -94,7 +92,8 @@ def parse_dimacs(text, filename="<input>"):
     A number is ASCII digits with an optional sign (``+1`` is accepted, as
     MiniSat's reader accepts it); ``1_0`` and non-ASCII digits are bad
     tokens, though Python's ``int`` takes them.
-    Clauses beyond the declared count are accepted with a ParseWarning.
+    Clauses beyond the declared count are accepted with a ParseWarning;
+    every clause read counts, the dropped and the empty ones too.
     Tautological clauses are dropped; duplicate literals are merged.
 
     Well-formed input is parsed in one bulk pass over the whole text.
@@ -107,12 +106,10 @@ def parse_dimacs(text, filename="<input>"):
     parsed = _parse_bulk(text)
     if parsed is None:
         parsed = _parse_lines(text, filename)
-    formula, declared_clauses = parsed
-    total = len(formula.clauses) + (1 if formula.contains_empty else 0)
-    if total > declared_clauses:
-        warnings.warn(
-            f"{filename}: {total} clauses found, header declared {declared_clauses}",
-            ParseWarning, stacklevel=2)
+    formula, found, declared = parsed
+    if found > declared:
+        warnings.warn(f"{filename}: {found} clauses found, header declared {declared}",
+                      ParseWarning, stacklevel=2)
     return formula
 
 
@@ -130,13 +127,30 @@ def _dimacs_int(tok):
     return int(tok)
 
 
+def _read_header(line):
+    """``(num_vars, declared_clauses)`` of a ``p cnf`` header line, or a
+    ValueError saying what is wrong with it."""
+    parts = line.split()
+    bad = ValueError(f"bad header {line!r}")
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise bad
+    try:
+        num_vars, declared_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
+    except ValueError:
+        raise bad from None
+    if num_vars < 0 or declared_clauses < 0:
+        raise ValueError("negative counts in header")
+    return num_vars, declared_clauses
+
+
 def _parse_bulk(text):
     """Parse well-formed DIMACS text with whole-text C-level calls.
 
-    Returns ``(formula, declared_clauses)`` exactly as `_parse_lines` would,
-    or ``None`` for any input it declines: a non-comment line before the
-    header, a bad header, a comment or second header after it, a bad token,
-    an out-of-range literal or an unterminated clause.
+    Returns ``(formula, clauses_read, declared_clauses)`` exactly as
+    `_parse_lines` would, or ``None`` for any input it declines: a
+    non-comment line before the header, a bad header, a comment or second
+    header after it, a bad token, an out-of-range literal or an unterminated
+    clause.
     """
     m = _HEADER_LINE.search(text)
     if m is None:
@@ -145,14 +159,9 @@ def _parse_bulk(text):
         line = line.strip()
         if line and line[0] != "c":
             return None
-    parts = m.group(1).split()
-    if len(parts) != 4 or parts[1] != "cnf":
-        return None
     try:
-        num_vars, declared_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
+        num_vars, declared_clauses = _read_header(m.group(1))
     except ValueError:
-        return None
-    if num_vars < 0 or declared_clauses < 0:
         return None
 
     body = text[m.end():]
@@ -171,16 +180,12 @@ def _parse_bulk(text):
 
     clauses = []
     append = clauses.append
-    contains_empty = False
     index = toks.index
     start, n = 0, len(toks)
     while start < n:
         stop = index(0, start)
         lits = toks[start:stop]
         start = stop + 1
-        if not lits:
-            contains_empty = True
-            continue
         lits.sort(key=abs)
         if len(set(map(abs, lits))) == len(lits):
             append(tuple(lits))
@@ -188,19 +193,19 @@ def _parse_bulk(text):
             norm = normalize_clause(lits)
             if norm is not None:
                 append(norm)
-    return Formula(num_vars, tuple(clauses), contains_empty), declared_clauses
+    return Formula(num_vars, tuple(clauses)), toks.count(0), declared_clauses
 
 
 def _parse_lines(text, filename):
     """Parse DIMACS text line by line; the reference for `_parse_bulk`.
 
-    Returns ``(formula, declared_clauses)``, or raises a ParseError naming
-    the offending line.
+    Returns ``(formula, clauses_read, declared_clauses)``, or raises a
+    ParseError naming the offending line.
     """
     num_vars = None
     declared_clauses = None
     clauses = []
-    contains_empty = False
+    read = 0
     pending = []
     pending_line = 0
 
@@ -213,15 +218,10 @@ def _parse_lines(text, filename):
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise ParseError("duplicate header", filename, lineno)
-            parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise MissingHeader(f"bad header {stripped!r}", filename, lineno)
             try:
-                num_vars, declared_clauses = _dimacs_int(parts[2]), _dimacs_int(parts[3])
-            except ValueError:
-                raise MissingHeader(f"bad header {stripped!r}", filename, lineno) from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise MissingHeader("negative counts in header", filename, lineno)
+                num_vars, declared_clauses = _read_header(stripped)
+            except ValueError as e:
+                raise MissingHeader(str(e), filename, lineno) from None
             continue
         if num_vars is None:
             raise MissingHeader(f"clause data before header: {stripped!r}", filename, lineno)
@@ -233,10 +233,8 @@ def _parse_lines(text, filename):
             if lit == 0:
                 norm = normalize_clause(pending)
                 if norm is not None:  # tautologies are dropped
-                    if norm == ():
-                        contains_empty = True
-                    else:
-                        clauses.append(norm)
+                    clauses.append(norm)
+                read += 1
                 pending = []
             else:
                 if abs(lit) > num_vars:
@@ -251,8 +249,7 @@ def _parse_lines(text, filename):
         raise UnterminatedClause("clause not terminated by 0 at EOF", filename, pending_line)
     if num_vars is None:
         raise MissingHeader("no 'p cnf' header found", filename, 0)
-    return Formula(num_vars=num_vars, clauses=tuple(clauses),
-                   contains_empty=contains_empty), declared_clauses
+    return Formula(num_vars, tuple(clauses)), read, declared_clauses
 
 
 def parse_dimacs_file(path):
@@ -262,12 +259,8 @@ def parse_dimacs_file(path):
 
 def to_dimacs(formula):
     """Render a Formula back to DIMACS text.  Round-trips through parse_dimacs."""
-    n_clauses = len(formula.clauses) + (1 if formula.contains_empty else 0)
-    out = [f"p cnf {formula.num_vars} {n_clauses}"]
-    for c in formula.clauses:
-        out.append(" ".join(str(l) for l in c) + " 0")
-    if formula.contains_empty:
-        out.append("0")
+    out = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
+    out += [" ".join(map(str, (*c, 0))) for c in formula.clauses]
     return "\n".join(out) + "\n"
 
 
@@ -276,10 +269,9 @@ def evaluate(formula, model):
     satisfies every clause of the formula.
 
     A clause is satisfied iff it shares a literal with the model; the
-    disjointness tests run in C, one call per clause.
+    disjointness tests run in C, one call per clause.  No model satisfies
+    an empty clause.
     """
-    if formula.contains_empty:
-        return False
     true_lits = set(model)
     return not any(map(true_lits.isdisjoint, formula.clauses))
 

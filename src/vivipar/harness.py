@@ -2,7 +2,8 @@
 
 Output follows SAT-Competition conventions: an ``s`` status line, ``v``
 model lines for satisfiable instances, and exit codes 10 (SAT), 20 (UNSAT),
-0 (unknown), 1 (usage or input error), 3 (a worker failed).  A stats CSV
+0 (unknown), 1 (usage or input error, or a stats CSV that cannot be
+written), 3 (a worker failed).  A stats CSV
 holds a header and one row per run, each built by `csv_row` from the
 instance, the mode label, the worker count and the run's `PortfolioResult`.
 """
@@ -10,7 +11,6 @@ instance, the mode label, the worker count and the run's `PortfolioResult`.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import random
 import sys
@@ -124,21 +124,32 @@ def cli_main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    with stats_fh or contextlib.nullcontext():
-        print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
-              f"mode={config.lcm}, workers={config.num_workers}"
-              f"{', deterministic' if config.deterministic else ''}")
-        try:
-            result = portfolio.run(formula, config)
-        except WorkerFault as e:
-            traceback.print_exception(e.__cause__, file=sys.stderr)
-            print(f"c {e}")
-            return 3
-
+    print(f"c vivipar: {formula.num_vars} vars, {len(formula.clauses)} clauses, "
+          f"mode={config.lcm}, workers={config.num_workers}"
+          f"{', deterministic' if config.deterministic else ''}")
+    try:
+        result = portfolio.run(formula, config)
+    except WorkerFault as e:
         if stats_fh is not None:
-            row = csv_row(args.file, config.lcm, config.num_workers, result)
-            write_csv([row], stats_fh)
+            stats_fh.close()
+        traceback.print_exception(e.__cause__, file=sys.stderr)
+        print(f"c {e}")
+        return 3
+    code = _print_answer(result, config)
+    if stats_fh is not None:  # written after the answer, so a failure loses only the stats
+        try:
+            with stats_fh:
+                write_csv([csv_row(args.file, config.lcm, config.num_workers, result)],
+                          stats_fh)
+        except OSError as e:
+            print(f"error: cannot write stats CSV {args.stats_csv}: {e}", file=sys.stderr)
+            return 1
+    return code
 
+
+def _print_answer(result, config):
+    """Print the ``s`` line and the ``c``/``v`` lines that go with it;
+    returns the exit code of the answer."""
     # run() has already verified a SAT model against the formula
     if result.status == SAT:
         print("s SATISFIABLE")

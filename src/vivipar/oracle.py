@@ -121,9 +121,6 @@ def entails(model_words, target):
 
 def brute_force(formula):
     """Exhaustively solve a Formula: returns ("SAT", model) or ("UNSAT", None)."""
-    _check_size(formula.num_vars)
-    if formula.contains_empty:
-        return "UNSAT", None
     model = satisfiable(formula.num_vars, formula.clauses)
     if model is None:
         return "UNSAT", None

@@ -67,6 +67,22 @@ def test_differing_events_fail(tmp_path):
     assert "STATS differ for" not in proc.stderr
 
 
+def test_differing_formulas_fail(tmp_path):
+    # a copy whose parser returns the clauses in reverse order
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    formula = tmp_path / "src" / "vivipar" / "formula.py"
+    ret = "    return formula\n"
+    text = formula.read_text()
+    assert text.count(ret) == 1
+    formula.write_text(text.replace(
+        ret, "    return Formula(formula.num_vars, formula.clauses[::-1])\n"))
+    proc = ab(ROOT, tmp_path)
+    assert proc.returncode == 1
+    assert "FORMULA differs for" in proc.stderr
+    assert "STATS differ for" not in proc.stderr
+
+
 def test_renamings_same_checkout_on_both_sides(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
     spec = importlib.util.spec_from_file_location("renamings", RENAMINGS)

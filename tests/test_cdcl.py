@@ -378,7 +378,7 @@ def test_solve_php_unsat(engine_checks):
 
 
 def test_solve_empty_clause_input():
-    eng = Engine(Formula(1, (), contains_empty=True), EngineConfig())
+    eng = Engine(Formula(1, ((1,), ())), EngineConfig())
     assert eng.step() == UNSAT
 
 

@@ -100,8 +100,23 @@ def test_parse_variable_gaps_allowed():
 
 def test_parse_empty_clause_is_unsat_marker():
     f = parse_dimacs("p cnf 2 2\n0\n1 2 0\n")
-    assert f.contains_empty
-    assert f.clauses == ((1, 2),)
+    assert f.clauses == ((), (1, 2))
+    assert parse_dimacs(to_dimacs(f)) == f
+    assert not evaluate(f, [1, 2])
+
+
+@pytest.mark.parametrize("text, clauses, found", [
+    ("p cnf 1 1\n1 -1 0\n1 0\n", ((1,),), 2),  # a dropped tautology
+    ("p cnf 1 1\n0\n0\n", ((), ()), 2),  # two empty clauses
+    ("p cnf 1 1\n1 0\n0\n0\n", ((1,), (), ()), 3),
+])
+def test_parse_extra_clauses_warn_counts_every_clause_read(text, clauses, found):
+    with pytest.warns(ParseWarning) as caught:
+        f = parse_dimacs(text, filename="t.cnf")
+    assert f.clauses == clauses
+    assert [str(w.message) for w in caught] == [
+        f"t.cnf: {found} clauses found, header declared 1"]
+    assert formula._parse_bulk(text) == formula._parse_lines(text, "t.cnf")
 
 
 def test_parse_bytes_input():
@@ -198,10 +213,9 @@ def _outcome(parse, text):
 @given(dimacs_texts())
 def test_parse_dimacs_matches_line_parser(text):
     def reference(text):
-        formula_, declared = formula._parse_lines(text, "t.cnf")
-        total = len(formula_.clauses) + formula_.contains_empty
-        if total > declared:
-            warnings.warn(f"t.cnf: {total} clauses found, header declared {declared}",
+        formula_, found, declared = formula._parse_lines(text, "t.cnf")
+        if found > declared:
+            warnings.warn(f"t.cnf: {found} clauses found, header declared {declared}",
                           ParseWarning)
         return formula_
 
@@ -246,7 +260,7 @@ def test_roundtrip_random_formulas():
             vs = rng.sample(range(1, n + 1), k)
             clauses.append([v if rng.random() < 0.5 else -v for v in vs])
         normed = [normalize_clause(c) for c in clauses]
-        f = Formula(n, tuple(c for c in normed if c not in (None, ())))
+        f = Formula(n, tuple(c for c in normed if c is not None))
         assert parse_dimacs(to_dimacs(f)) == f
 
 
@@ -271,16 +285,16 @@ def naive_evaluate(formula, model):
                 break
         else:
             return False
-    return not formula.contains_empty
+    return True
 
 
 @st.composite
 def formulas_and_models(draw):
     n = draw(st.integers(1, 6))
     lits = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    raw = draw(st.lists(st.lists(lits, min_size=1, max_size=4), max_size=12))
+    raw = draw(st.lists(st.lists(lits, max_size=4), max_size=12))
     clauses = tuple(c for c in map(normalize_clause, raw) if c is not None)
-    formula = Formula(n, clauses, contains_empty=draw(st.booleans()))
+    formula = Formula(n, clauses)
     total = st.tuples(*[st.sampled_from((v, -v)) for v in range(1, n + 1)])
     model = draw(st.one_of(total, st.lists(lits, max_size=2 * n)))
     return formula, list(model)
@@ -293,15 +307,15 @@ def test_evaluate_matches_naive_loop(case):
     assert evaluate(formula, model) == naive_evaluate(formula, model)
 
 
-@pytest.mark.parametrize("clauses, contains_empty, model, expected", [
+@pytest.mark.parametrize("clauses, with_empty, model, expected", [
     ((), False, [], True),                 # empty formula: vacuously satisfied
     ((), True, [1, 2], False),             # only the empty clause
     (((1,), (-2,)), False, [1, -2], True),  # unit clauses
     (((1,), (-2,)), False, [1, 2], False),
     (((1,), (1, 2)), True, [1, 2], False),  # satisfied, but an empty clause
 ])
-def test_evaluate_edge_cases(clauses, contains_empty, model, expected):
-    f = Formula(2, clauses, contains_empty=contains_empty)
+def test_evaluate_edge_cases(clauses, with_empty, model, expected):
+    f = Formula(2, clauses + ((),) * with_empty)
     assert evaluate(f, model) is expected
     assert naive_evaluate(f, model) is expected
 

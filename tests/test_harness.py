@@ -144,6 +144,15 @@ def test_cli_unsat_exit_20(unsat_file, capsys):
     assert "s UNSATISFIABLE" in capsys.readouterr().out
 
 
+def test_cli_empty_input_clause_is_unsat_and_counted(tmp_path, capsys):
+    p = tmp_path / "empty-clause.cnf"
+    p.write_text("p cnf 2 2\n0\n1 2 0\n")
+    assert cli_main([str(p), "--deterministic"]) == 20
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("c vivipar: 2 vars, 2 clauses,")
+    assert "s UNSATISFIABLE" in out
+
+
 def test_cli_default_portfolio_has_two_workers(unsat_file, capsys, monkeypatch):
     # all workers take turns on one thread, so the core count must not size
     # the default portfolio; two is the smallest that shares clauses
@@ -287,6 +296,25 @@ def test_cli_bad_stats_csv_path_exit_1_before_solving(sat_file, tmp_path, capsys
     assert len(captured.err.splitlines()) == 1
     assert not captured.out
     assert not bad.parent.exists()
+
+
+def test_cli_stats_csv_write_failure_keeps_the_answer(sat_file, tmp_path, capsys,
+                                                     monkeypatch):
+    path, f = sat_file
+    csv_path = tmp_path / "s.csv"
+
+    def full_disk(rows, fh):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(vivipar.harness, "write_csv", full_disk)
+    assert cli_main([path, "--deterministic", "--stats-csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert "s SATISFIABLE" in out
+    lits = [int(x) for l in out if l.startswith("v ") for x in l[2:].split()]
+    assert lits[-1] == 0 and evaluate(f, lits[:-1])
+    assert captured.err.startswith("error: ") and str(csv_path) in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_import_does_not_load_numpy():

@@ -45,7 +45,7 @@ def test_too_large():
 
 
 def test_empty_clause_unsat():
-    f = Formula(2, ((1, 2),), contains_empty=True)
+    f = Formula(2, ((1, 2), ()))
     assert brute_force(f) == ("UNSAT", None)
 
 
